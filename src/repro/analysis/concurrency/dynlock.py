@@ -72,7 +72,7 @@ def _capture_stack(skip: int = 2) -> List[str]:
 
 def _lockset_sort_key(resource: str) -> Tuple[bool, str]:
     """Catalog pseudo-lock first, then table names ascending — must match
-    SessionManager._statement_locks."""
+    SessionManager._lockset."""
     return (resource != CATALOG_RESOURCE_VALUE, resource)
 
 

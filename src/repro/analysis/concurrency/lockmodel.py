@@ -63,7 +63,7 @@ LOCK_SPECS: Tuple[LockSpec, ...] = (
     ),
     LockSpec(
         "session_registry", "_mutex", "session/manager.py", "lock",
-        "SessionManager._mutex — guards the session map and lockset cache",
+        "SessionManager._mutex — guards the session map",
     ),
     LockSpec(
         "plan_cache", "_lock", "relational/plancache.py", "rlock",

@@ -71,7 +71,13 @@ from repro.relational.txn import TransactionManager
 from repro.relational.types import ColumnType
 from repro.relational.wal import WriteAheadLog
 from repro.sql import ast_nodes as A
-from repro.sql.parser import parse_prepared, parse_script, parse_statement
+from repro.sql.parser import (
+    parse_prepared,
+    parse_script,
+    parse_statement,
+    read_sources,
+    select_blocks,
+)
 from repro.views.definition import ViewDefinition
 from repro.views.update import UpdatableViewInfo, analyze_updatability
 
@@ -356,41 +362,13 @@ class Database:
         with self._latch:
             return self._execute_locked(sql)
 
-    def _execute_locked(self, sql: str) -> Result:
-        self._begin_row_budget()
-        log = self.statement_log
-        capture = (
-            log.begin(
-                self._pages_read_total(),
-                self.plan_cache.stats["hits"],
-                self.plan_cache.stats["misses"],
-                session=self._current_session_id,
-            )
-            if log.enabled
-            else None
-        )
-        try:
-            entry = self._lookup_statement(sql)
-            statement = entry.statement
-            tags: Dict[str, Any] = {"stmt": type(statement).__name__}
-            if entry.fingerprint is not None:
-                # The statement fingerprint rides on the span so slow-log
-                # entries join against _statements.
-                tags["fp"] = entry.fingerprint
-            if capture is not None:
-                log.describe(
-                    capture, sql, entry.fingerprint, type(statement).__name__
-                )
-            with self.tracer.span("db.execute", tags) as span:
-                result = self._execute_statement(statement, sql, cache_entry=entry)
-                span.tag("rows", result.rowcount)
-        except BaseException as exc:
-            if capture is not None:
-                self._finish_capture(capture, None, error=exc)
-            raise
-        if capture is not None:
-            self._finish_capture(capture, result.rowcount)
-        return result
+    def _execute_locked(
+        self, sql: str, lookup: Optional[Tuple[CacheEntry, str]] = None
+    ) -> Result:
+        """:meth:`execute` with the latch held.  The session layer enters
+        here with the *lookup* it derived its locks from, so the statement
+        is not looked up or parsed a second time."""
+        return self._run_pipeline(sql, lookup=lookup)
 
     def execute_script(self, sql: str) -> List[Result]:
         """Execute a ';'-separated script; returns one Result per statement."""
@@ -416,6 +394,11 @@ class Database:
             handle.fingerprint = fingerprint_sql(sql)
         return handle
 
+    def _execute_prepared(self, prepared: PreparedStatement) -> Result:
+        """Run a prepared statement (parameters already bound by the handle)."""
+        with self._latch:
+            return self._run_pipeline(prepared.sql, prepared=prepared)
+
     def stream(self, sql: str) -> Tuple[List[str], Iterator[Row]]:
         """Execute a SELECT lazily: (column names, row iterator).
 
@@ -427,9 +410,26 @@ class Database:
         use (the session layer materialises instead).
         """
         with self._latch:
-            return self._stream_locked(sql)
+            return self._run_pipeline(sql, stream=True)
 
-    def _stream_locked(self, sql: str) -> Tuple[List[str], Iterator[Row]]:
+    def _run_pipeline(
+        self,
+        sql: str,
+        lookup: Optional[Tuple[CacheEntry, str]] = None,
+        prepared: Optional[PreparedStatement] = None,
+        stream: bool = False,
+    ) -> Any:
+        """The statement pipeline behind every SQL entry point.
+
+        Stages: look up (or parse once into) the plan cache — a prepared
+        handle brings its own AST; get a cached or fresh plan and verify
+        it (:meth:`_select_plan`); optionally instrument it; collect the
+        rows (:meth:`_run_query`).  One statement-log capture and one
+        ``db.execute`` span wrap the run.  A stream returns ``(columns,
+        row iterator)`` instead of a Result; its capture detaches and
+        finishes when the iterator drains, so a long-lived stream does not
+        swallow the captures of statements run while it is open.
+        """
         self._begin_row_budget()
         log = self.statement_log
         capture = (
@@ -443,26 +443,46 @@ class Database:
             else None
         )
         try:
-            entry = self._lookup_statement(sql)
-            statement = entry.statement
-            if not isinstance(statement, A.Select):
-                raise SqlError("stream() takes a single SELECT")
-            self._check_select_privileges(statement)
-            plan = self._select_plan(statement, cache_entry=entry)
+            entry: Optional[CacheEntry] = None
+            params: Optional[List[Any]] = None
+            if prepared is None:
+                entry, outcome = lookup or self._lookup(sql)
+                log.note_cache(outcome)
+                statement, fingerprint = entry.statement, entry.fingerprint
+            else:
+                statement, fingerprint = prepared.statement, prepared.fingerprint
+                params = [param.value for param in prepared._params]
+            kind = type(statement).__name__
+            if capture is not None:
+                log.describe(capture, sql, fingerprint, kind, params=params)
+            if stream:
+                if not isinstance(statement, A.Select):
+                    raise SqlError("stream() takes a single SELECT")
+                self._check_select_privileges(statement)
+                plan = self._select_plan(statement, cache_entry=entry)
+                self.stats["selects"] += 1
+                if capture is None:
+                    return plan.layout.names(), self._iter_rows(plan)
+                log.note_plan(plan)
+                log.detach(capture)
+                return plan.layout.names(), self._stream_rows(plan, capture)
+            tags: Dict[str, Any] = {"stmt": kind}
+            if prepared is not None:
+                tags["prepared"] = True
+            if fingerprint is not None:
+                # The statement fingerprint rides on the span so slow-log
+                # entries join against _statements.
+                tags["fp"] = fingerprint
+            with self.tracer.span("db.execute", tags) as span:
+                result = self._execute_statement(statement, sql, entry, prepared)
+                span.tag("rows", result.rowcount)
         except BaseException as exc:
             if capture is not None:
                 self._finish_capture(capture, None, error=exc)
             raise
-        self.stats["selects"] += 1
-        if capture is None:
-            return plan.layout.names(), self._iter_rows(plan)
-        log.describe(capture, sql, entry.fingerprint, "Select")
-        log.note_plan(plan)
-        # The capture detaches here and finishes when the iterator drains —
-        # a long-lived stream must not swallow captures of statements that
-        # execute while it is open.
-        log.detach(capture)
-        return plan.layout.names(), self._stream_rows(plan, capture)
+        if capture is not None:
+            self._finish_capture(capture, result.rowcount)
+        return result
 
     def _stream_rows(self, plan: Any, capture: Any) -> Iterator[Row]:
         """Drain a streamed plan, finishing its statement capture."""
@@ -507,21 +527,24 @@ class Database:
             if self.segment_cache_rows <= 0:
                 store.clear()
 
-    def _lookup_statement(self, sql: str) -> CacheEntry:
-        """The cache entry for *sql*, parsing and registering on a miss."""
+    def _lookup(self, sql: str) -> Tuple[CacheEntry, str]:
+        """The cache entry for *sql*, parsing and registering on a miss,
+        with the outcome ("hit" or "miss") for the statement capture."""
         self._plan_generation()  # sync before the lookup, never after
         key = self.plan_cache.key(sql, self.planner_config.fingerprint())
         entry = self.plan_cache.lookup(key)
+        outcome = "hit"
         if entry is None:
-            self.statement_log.note_cache("miss")
-            statement = parse_statement(sql)
-            entry = self.plan_cache.store(key, statement, None)
-        else:
-            self.statement_log.note_cache("hit")
+            outcome = "miss"
+            entry = self.plan_cache.store(key, parse_statement(sql), None)
         if entry.fingerprint is None and self.statement_log.enabled:
             # One extra lex per cache miss; hits reuse the stored value.
             entry.fingerprint = fingerprint_sql(sql)
-        return entry
+        return entry, outcome
+
+    def _lookup_statement(self, sql: str) -> CacheEntry:
+        """The cache entry for *sql* (see :meth:`_lookup`)."""
+        return self._lookup(sql)[0]
 
     def _pages_read_total(self) -> int:
         """Pages fetched across every table's pager (reads + hits + misses).
@@ -558,11 +581,13 @@ class Database:
 
     def _select_plan(
         self,
-        select: A.Select,
+        query: Union[A.Select, A.Union],
         cache_entry: Optional[CacheEntry] = None,
         prepared: Optional[PreparedStatement] = None,
     ) -> Any:
-        """A physical plan for *select*, served from the cache when safe."""
+        """A physical plan for *query*: the one cached in *prepared* or
+        *cache_entry* while it is still valid, else a fresh one, verified
+        (when switched on) and stored in that slot when reuse is safe."""
         generation = self._plan_generation()
         if prepared is not None:
             if prepared._plan is not None and prepared._plan_generation == generation:
@@ -577,9 +602,12 @@ class Database:
             and cache_entry.generation == generation
         ):
             return cache_entry.plan
-        plan = self.planner.plan_select(select)
+        if isinstance(query, A.Union):
+            plan = self.planner.plan_union(query)
+        else:
+            plan = self.planner.plan_select(query)
         self._maybe_verify_plan(plan)
-        if self._plan_cacheable(select):
+        if self._plan_cacheable(query):
             if prepared is not None:
                 prepared._plan = plan
                 prepared._plan_generation = generation
@@ -604,8 +632,8 @@ class Database:
             "plans_rejected": VERIFY_METRICS["rejected_plans"],
         }
 
-    def _plan_cacheable(self, select: A.Select) -> bool:
-        """True when re-running *select*'s operator tree is always correct.
+    def _plan_cacheable(self, query: Union[A.Select, A.Union]) -> bool:
+        """True when re-running *query*'s operator tree is always correct.
 
         Two constructs freeze transient state into the plan and so forbid
         plan reuse (the AST is still cached): uncorrelated subqueries are
@@ -614,87 +642,16 @@ class Database:
         recurses: a view whose definition contains either construct taints
         every statement that reads it.
         """
-        from repro.relational.catalog import SYSTEM_TABLE_NAMES
-        from repro.sql.parser import AggExpr, SubqueryExpr
-
-        def expr_clean(expr: Any) -> bool:
-            if not isinstance(expr, E.Expr):
-                if isinstance(expr, A.AggCall):
-                    return expr.arg is None or expr_clean(expr.arg)
-                return True
-            for node in expr.walk():
-                if isinstance(node, SubqueryExpr):
-                    return False
-                if isinstance(node, AggExpr):
-                    call = node.call
-                    if call.arg is not None and not expr_clean(call.arg):
-                        return False
-            return True
-
-        def select_clean(sel: A.Select) -> bool:
-            sources: List[str] = []
-            if sel.from_table is not None:
-                sources.append(sel.from_table.name.lower())
-            sources.extend(join.table.name.lower() for join in sel.joins)
-            for name in sources:
-                if name in SYSTEM_TABLE_NAMES:
-                    return False
-                if self.catalog.has_view(name):
-                    if not select_clean(self.catalog.view(name).query):
-                        return False
-            exprs: List[Any] = [sel.where, sel.having]
-            exprs.extend(join.condition for join in sel.joins)
-            exprs.extend(sel.group_by)
-            exprs.extend(item.expr for item in sel.order_by)
-            exprs.extend(item.expr for item in sel.items if item.expr is not None)
-            return all(expr is None or expr_clean(expr) for expr in exprs)
-
-        return select_clean(select)
-
-    def _execute_prepared(self, prepared: PreparedStatement) -> Result:
-        """Run a prepared statement (parameters already bound by the handle)."""
-        with self._latch:
-            return self._execute_prepared_locked(prepared)
-
-    def _execute_prepared_locked(self, prepared: PreparedStatement) -> Result:
-        self._begin_row_budget()
-        statement = prepared.statement
-        log = self.statement_log
-        capture = (
-            log.begin(
-                self._pages_read_total(),
-                self.plan_cache.stats["hits"],
-                self.plan_cache.stats["misses"],
-                session=self._current_session_id,
-            )
-            if log.enabled
-            else None
-        )
-        if capture is not None:
-            log.describe(
-                capture,
-                prepared.sql,
-                prepared.fingerprint,
-                type(statement).__name__,
-                params=[param.value for param in prepared._params],
-            )
-        tags: Dict[str, Any] = {"stmt": type(statement).__name__, "prepared": True}
-        if prepared.fingerprint is not None:
-            tags["fp"] = prepared.fingerprint
-        try:
-            with self.tracer.span("db.execute", tags) as span:
-                if isinstance(statement, A.Select):
-                    result = self._run_select(statement, prepared=prepared)
-                else:
-                    result = self._execute_statement(statement, prepared.sql)
-                span.tag("rows", result.rowcount)
-        except BaseException as exc:
-            if capture is not None:
-                self._finish_capture(capture, None, error=exc)
-            raise
-        if capture is not None:
-            self._finish_capture(capture, result.rowcount)
-        return result
+        if any(nested for _select, nested in select_blocks(query)):
+            return False
+        for name in read_sources(query):
+            if name in SYSTEM_TABLE_NAMES:
+                return False
+            if self.catalog.has_view(name) and not self._plan_cacheable(
+                self.catalog.view(name).query
+            ):
+                return False
+        return True
 
     # ------------------------------------------------------------------
     # Programmatic DML (used by the forms runtime)
@@ -876,6 +833,7 @@ class Database:
         statement: A.Statement,
         sql_text: str,
         cache_entry: Optional[CacheEntry] = None,
+        prepared: Optional[PreparedStatement] = None,
     ) -> Result:
         if isinstance(
             statement,
@@ -888,18 +846,8 @@ class Database:
             # database must not touch its files.  (DML is gated in
             # _check_dml_privilege, which the programmatic API shares.)
             self._require_writable()
-        if isinstance(statement, A.Select):
-            return self._run_select(statement, cache_entry=cache_entry)
-        if isinstance(statement, A.Union):
-            for arm in statement.selects:
-                self._check_select_privileges(arm)
-            plan = self.planner.plan_union(statement)
-            self._maybe_verify_plan(plan)
-            if self.statement_log.current is not None:
-                self.statement_log.note_plan(plan)
-            rows = self._collect_rows(plan)
-            self.stats["selects"] += 1
-            return Result(columns=plan.layout.names(), rows=rows, rowcount=len(rows))
+        if isinstance(statement, (A.Select, A.Union)):
+            return self._run_query(statement, cache_entry, prepared)
         if isinstance(statement, A.AlterTable):
             return self._run_alter_table(statement)
         if isinstance(statement, (A.Grant, A.Revoke)):
@@ -917,7 +865,7 @@ class Database:
             return Result()
         if isinstance(statement, A.Explain):
             if statement.analyze:
-                return self._run_explain_analyze(statement.query)
+                return self._run_query(statement.query, analyze=True)
             from repro.analysis.planverify import verify_plan
 
             plan = self.planner.plan_select(statement.query)
@@ -1171,39 +1119,18 @@ class Database:
 
     # -- privilege checks ---------------------------------------------------
 
-    def _referenced_sources(self, select: A.Select) -> List[str]:
-        """Object names a SELECT reads: FROM/JOIN entries plus subqueries.
+    def _check_select_privileges(self, statement: A.Statement) -> None:
+        """SELECT on every table and view *statement* reads.
 
         Access through a view requires privileges on the view only (the
-        view executes with its owner's rights) — so view expansion does NOT
-        contribute its underlying tables here.
+        view executes with its owner's rights), so a view's underlying
+        tables are not checked here.
         """
-        from repro.relational.catalog import SYSTEM_TABLE_NAMES
-        from repro.sql.parser import SubqueryExpr
-
-        names: List[str] = []
-        if select.from_table is not None:
-            names.append(select.from_table.name.lower())
-        names.extend(join.table.name.lower() for join in select.joins)
-        exprs = [select.where, select.having]
-        exprs.extend(join.condition for join in select.joins)
-        exprs.extend(item.expr for item in select.order_by)
-        for item in select.items:
-            if item.expr is not None and isinstance(item.expr, E.Expr):
-                exprs.append(item.expr)
-        for expr in exprs:
-            if expr is None or not isinstance(expr, E.Expr):
-                continue
-            for node in expr.walk():
-                if isinstance(node, SubqueryExpr):
-                    names.extend(self._referenced_sources(node.select))
-        return [n for n in names if n not in SYSTEM_TABLE_NAMES]
-
-    def _check_select_privileges(self, select: A.Select) -> None:
         from repro.relational.auth import Privilege
 
-        for name in self._referenced_sources(select):
-            self.auth.check(self.current_user, Privilege.SELECT, name)
+        for name in read_sources(statement):
+            if name not in SYSTEM_TABLE_NAMES:
+                self.auth.check(self.current_user, Privilege.SELECT, name)
 
     def _check_dml_privilege(self, target: str, privilege_name: str) -> None:
         from repro.relational.auth import Privilege
@@ -1215,46 +1142,9 @@ class Database:
             self.current_user, Privilege(privilege_name), target.lower()
         )
 
-    def _run_explain_analyze(self, select: A.Select) -> Result:
-        """EXPLAIN ANALYZE: execute the query with per-operator counters.
-
-        Like PostgreSQL, the statement *runs* the query (so it needs the
-        same privileges as the SELECT) but returns only the annotated plan;
-        the result's ``rowcount`` reports how many rows the plan produced.
-        """
-        from repro.analysis.planverify import verify_plan
-
-        self._check_select_privileges(select)
-        start = time.perf_counter()
-        plan = self.planner.plan_select(select)
-        planning_ms = (time.perf_counter() - start) * 1000.0
-        verified = verify_plan(plan)
-        op_stats = instrument(plan)
-        with self.tracer.span("db.explain_analyze") as span:
-            start = time.perf_counter()
-            if self.planner_config.vectorized:
-                produced = sum(len(batch) for batch in plan.rows_batched())
-            else:
-                produced = sum(1 for _row in plan.rows())
-            execution_ms = (time.perf_counter() - start) * 1000.0
-            span.tag("rows", produced)
-        self.stats["selects"] += 1
-        if self.statement_log.enabled:
-            # ANALYZE runs always contribute per-operator est/act to the
-            # plan-stats aggregate (and to the current capture, if any).
-            self.statement_log.note_plan(plan)
-            self.statement_log.note_operators(
-                plan_fingerprint(plan), operator_rows(plan, op_stats)
-            )
-            self._consider_replan(plan_fingerprint(plan), select)
-        text = render_analyze(
-            plan, op_stats, planning_ms, execution_ms,
-            plan_cache=self.plan_cache.snapshot(), verified=verified,
-            replans=self.planner.metrics["replans"],
-        )
-        return Result(rowcount=produced, plan=text)
-
-    def _consider_replan(self, plan_fp: str, select: A.Select) -> None:
+    def _consider_replan(
+        self, plan_fp: str, query: Union[A.Select, A.Union]
+    ) -> None:
         """Adaptive feedback: re-plan a statement whose estimates were bad.
 
         Called after an instrumented execution (a sampled run or EXPLAIN
@@ -1276,8 +1166,8 @@ class Database:
         self._replanned_fps.add(plan_fp)
         from repro.relational.stats import analyze_table
 
-        for name in dict.fromkeys(self._referenced_sources(select)):
-            if self.catalog.has_table(name):
+        for name in dict.fromkeys(read_sources(query)):
+            if name not in SYSTEM_TABLE_NAMES and self.catalog.has_table(name):
                 self.planner.stats[name] = analyze_table(self.catalog.table(name))
         # The stale aggregates must not re-trigger on the next sample.
         self.statement_log.forget_plan(plan_fp)
@@ -1438,42 +1328,59 @@ class Database:
 
         return flatten()
 
-    def _run_select(
+    def _run_query(
         self,
-        select: A.Select,
+        query: Union[A.Select, A.Union],
         cache_entry: Optional[CacheEntry] = None,
         prepared: Optional[PreparedStatement] = None,
+        analyze: bool = False,
     ) -> Result:
-        self._check_select_privileges(select)
-        log = self.statement_log
-        if log.take_sample():
-            return self._run_select_sampled(select)
-        plan = self._select_plan(select, cache_entry=cache_entry, prepared=prepared)
-        if log.current is not None:
-            log.note_plan(plan)
-        rows = self._collect_rows(plan)
-        self.stats["selects"] += 1
-        return Result(columns=plan.layout.names(), rows=rows, rowcount=len(rows))
+        """Plan and collect one SELECT or UNION: the one plan-and-collect
+        path.
 
-    def _run_select_sampled(self, select: A.Select) -> Result:
-        """Every Nth SELECT under ``statlog_sample_every=N``: plan fresh,
-        instrument, and record true per-operator est/act cardinalities.
-
-        The plan cache is deliberately bypassed — instrumentation wrappers
-        mutate the tree's ``rows`` methods and must never leak into a
-        cached (or prepared) plan.
+        A sampled run (every Nth query under ``statlog_sample_every=N``)
+        and EXPLAIN ANALYZE (*analyze*) plan fresh, instrument the tree,
+        and record true per-operator est/act cardinalities.  They bypass
+        the plan cache: instrumentation wrappers mutate the tree's
+        ``rows`` methods and must never leak into a cached (or prepared)
+        plan.  A UNION is planned fresh every time.  Like PostgreSQL,
+        EXPLAIN ANALYZE runs the query (so it needs the same privileges)
+        but returns only the annotated plan, with ``rowcount`` the rows
+        the plan produced.
         """
+        self._check_select_privileges(query)
         log = self.statement_log
-        plan = self.planner.plan_select(select)
-        self._maybe_verify_plan(plan)
-        op_stats = instrument(plan)
+        instrumented = analyze or log.take_sample()
+        if instrumented or isinstance(query, A.Union):
+            cache_entry = prepared = None
+        start = time.perf_counter()
+        plan = self._select_plan(query, cache_entry, prepared)
+        planning_ms = (time.perf_counter() - start) * 1000.0
+        verified = None
+        if analyze:
+            from repro.analysis.planverify import verify_plan
+
+            # EXPLAIN ANALYZE always verifies and reports the count.
+            verified = verify_plan(plan)
+        op_stats = instrument(plan) if instrumented else None
+        start = time.perf_counter()
         rows = self._collect_rows(plan)
-        log.note_plan(plan)
-        log.note_operators(
-            plan_fingerprint(plan), operator_rows(plan, op_stats), sampled=True
-        )
-        self._consider_replan(plan_fingerprint(plan), select)
+        execution_ms = (time.perf_counter() - start) * 1000.0
         self.stats["selects"] += 1
+        log.note_plan(plan)
+        if op_stats is not None and log.enabled:
+            plan_fp = plan_fingerprint(plan)
+            log.note_operators(
+                plan_fp, operator_rows(plan, op_stats), sampled=not analyze
+            )
+            self._consider_replan(plan_fp, query)
+        if analyze:
+            text = render_analyze(
+                plan, op_stats, planning_ms, execution_ms,
+                plan_cache=self.plan_cache.snapshot(), verified=verified,
+                replans=self.planner.metrics["replans"],
+            )
+            return Result(rowcount=len(rows), plan=text)
         return Result(columns=plan.layout.names(), rows=rows, rowcount=len(rows))
 
     # -- DML statements ------------------------------------------------------
@@ -1508,19 +1415,17 @@ class Database:
 
     def _run_insert_select(self, statement: A.Insert, schema) -> Result:
         """INSERT INTO t [(cols)] SELECT ... — rows map positionally."""
-        self._check_select_privileges(statement.select)
-        plan = self.planner.plan_select(statement.select)
-        target_columns = statement.columns or list(schema.column_names)
-        if len(plan.layout) != len(target_columns):
-            raise SqlError(
-                f"INSERT ... SELECT: query yields {len(plan.layout)} columns "
-                f"for {len(target_columns)} target columns"
-            )
         # Materialise before writing: the source may be the target table.
-        source_rows = self._collect_rows(plan)
+        source = self._run_query(statement.select)
+        target_columns = statement.columns or list(schema.column_names)
+        if len(source.columns) != len(target_columns):
+            raise SqlError(
+                f"INSERT ... SELECT: query yields {len(source.columns)} "
+                f"columns for {len(target_columns)} target columns"
+            )
         count = 0
         with self._atomic():
-            for row in source_rows:
+            for row in source.rows:
                 self._insert_target(
                     statement.table, dict(zip(target_columns, row))
                 )
@@ -1530,6 +1435,7 @@ class Database:
 
     def _run_update(self, statement: A.Update) -> Result:
         self._check_dml_privilege(statement.table, "UPDATE")
+        self._check_select_privileges(statement)
         changes = {}
         for column, expr in statement.assignments:
             expr = self.planner._resolve_subqueries(expr)
@@ -1541,6 +1447,7 @@ class Database:
 
     def _run_delete(self, statement: A.Delete) -> Result:
         self._check_dml_privilege(statement.table, "DELETE")
+        self._check_select_privileges(statement)
         with self._atomic():
             count = self._delete_target(statement.table, statement.where)
         self.stats["deletes"] += 1

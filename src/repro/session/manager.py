@@ -15,12 +15,25 @@ Concurrency is two-level:
   transactions are conflict-serialisable.
 
 The golden rule tying the two together: **never block on a table lock
-while holding the latch**.  Every statement computes its lockset first
-(briefly under the latch, to read the catalog consistently), releases the
-latch, acquires its locks — possibly waiting — and only then takes the
-latch to execute.  A DDL that slips in between bumps the catalog
-generation, which the execute step detects and handles by recomputing the
-lockset (holding the extra locks is safe under 2PL, merely conservative).
+while holding the latch**.  :meth:`SessionManager.execute` runs each
+statement in five steps, taking the latch only for the steps that read
+engine state:
+
+1. under the latch, get the statement's plan-cache entry (parsing it on a
+   miss — the only parse the statement gets);
+2. without the latch, take the catalog lock: X for DDL, ANALYZE, GRANT
+   and REVOKE, S for everything else;
+3. under the latch, derive the table lockset from that same AST, reading
+   view definitions from the catalog;
+4. without the latch, take the table locks in ascending order — one
+   ``begin_lockset`` run, catalog first;
+5. under the latch, hand the entry to ``Database._execute_locked``.
+
+The catalog-first rule is what keeps the lockset exact: every session
+DDL holds the catalog in X, so once step 2 holds it in S no session can
+change the schema — and with it the tables a view resolves to — before
+the statement finishes.  Transaction control (BEGIN, COMMIT, ROLLBACK,
+savepoints) touches no resource and skips steps 2-4.
 
 Retry policy (:meth:`Session.execute`): a retryable failure
 (:class:`SerializationError`, :class:`LockTimeoutError`) aborts the whole
@@ -37,7 +50,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import (
     BusyError,
@@ -55,7 +68,21 @@ from repro.session.locks import (
     LockManager,
 )
 from repro.sql import ast_nodes as A
-from repro.sql.parser import SubqueryExpr, parse_statement
+from repro.sql.parser import read_sources
+
+#: statements that touch no resource: they take no locks at all
+_TXN_CONTROL = (
+    A.Begin, A.Commit, A.Rollback, A.Savepoint, A.RollbackTo,
+    A.ReleaseSavepoint,
+)
+#: statements that read or write data; every other statement changes the
+#: schema or its metadata
+_DATA_STATEMENTS = (A.Select, A.Union, A.Explain, A.Insert, A.Update, A.Delete)
+
+
+def _catalog_mode(statement: A.Statement) -> str:
+    """The catalog lock *statement* takes: S for data, X for the rest."""
+    return SHARED if isinstance(statement, _DATA_STATEMENTS) else EXCLUSIVE
 
 
 @dataclass
@@ -167,13 +194,10 @@ class SessionManager:
         from repro.analysis.concurrency import dynlock
 
         self.locks = dynlock.maybe_checked_lock_manager(LockManager())
-        #: guards _sessions / _next_id / the lockset cache
+        #: guards _sessions / _next_id
         self._mutex = threading.Lock()
         self._sessions: Dict[int, Session] = {}
         self._next_id = 1
-        #: (normalized sql, catalog generation) -> lockset; DDL bumps the
-        #: generation so stale entries are never consulted
-        self._lockset_cache: Dict[Tuple[str, int], Tuple[Tuple[str, str], ...]] = {}
         self.stats: Dict[str, int] = {
             "connects": 0,
             "disconnects": 0,
@@ -241,54 +265,48 @@ class SessionManager:
     # -- the statement pipeline --------------------------------------------
 
     def execute(self, session: Session, sql: str) -> Any:
-        """Lockset → acquire (2PL) → run under the engine latch."""
+        """Plan-cache entry → catalog lock → table locks → run (the five
+        steps of the module docstring)."""
         if session.closed:
             raise SessionError(f"session {session.id} is closed")
         self.stats["statements"] += 1
         session.stats["statements"] += 1
-        # A DDL between lockset computation and execution changes what the
-        # statement must lock; the generation check catches it and loops.
-        for _attempt in range(10):
-            lockset, generation = self._lockset(sql)
-            self._acquire_locks(session, lockset)
-            with self.db._latch:
-                if self.db.catalog.generation == generation:
-                    try:
-                        return self._run_statement(session, sql)
-                    finally:
-                        if not session.txn.active:
-                            # 2PL release point: the statement autocommitted,
-                            # COMMITted, or ROLLBACKed (or was aborted).
-                            self.locks.release_all(session.id)
-            if not session.txn.active:
-                self.locks.release_all(session.id)
-        raise SessionError(
-            "statement lockset would not stabilise (concurrent DDL storm)"
-        )
-
-    def _acquire_locks(
-        self, session: Session, lockset: Tuple[Tuple[str, str], ...]
-    ) -> None:
         try:
-            self.locks.begin_lockset(session.id)
-            for resource, mode in lockset:
-                self.locks.acquire(
-                    session.id, resource, mode, self.config.lock_timeout
+            with self.db._latch:
+                lookup = self.db._lookup(sql)
+            statement = lookup[0].statement
+            if not isinstance(statement, _TXN_CONTROL):
+                self.locks.begin_lockset(session.id)
+                self._acquire(
+                    session, CATALOG_RESOURCE, _catalog_mode(statement)
                 )
+                with self.db._latch:
+                    lockset = self._lockset(statement)
+                for resource, mode in lockset[1:]:
+                    self._acquire(session, resource, mode)
+            with self.db._latch:
+                with self._session_context(session):
+                    return self.db._execute_locked(sql, lookup)
+        except StatementTimeoutError:
+            self.stats["statement_timeouts"] += 1
+            raise
+        finally:
+            if not session.txn.active:
+                # 2PL release point: the statement autocommitted,
+                # COMMITted, or ROLLBACKed (or was aborted).
+                self.locks.release_all(session.id)
+
+    def _acquire(self, session: Session, resource: str, mode: str) -> None:
+        try:
+            self.locks.acquire(
+                session.id, resource, mode, self.config.lock_timeout
+            )
         except (SerializationError, LockTimeoutError):
             # The transaction dies wholesale: roll it back and release its
             # locks so the survivors can proceed; the error stays
             # retryable because nothing of it remains.
             self._abort(session)
             raise
-
-    def _run_statement(self, session: Session, sql: str) -> Any:
-        with self._session_context(session):
-            try:
-                return self.db._execute_locked(sql)
-            except StatementTimeoutError:
-                self.stats["statement_timeouts"] += 1
-                raise
 
     def _abort(self, session: Session) -> None:
         """Roll back the session's transaction and release its locks."""
@@ -344,132 +362,49 @@ class SessionManager:
 
     # -- lockset derivation ------------------------------------------------
 
-    def _lockset(
-        self, sql: str
-    ) -> Tuple[Tuple[Tuple[str, str], ...], int]:
-        """The (resource, mode) pairs *sql* must lock, plus the catalog
-        generation the computation is valid for.
+    def _lockset(self, statement: A.Statement) -> Tuple[Tuple[str, str], ...]:
+        """The (resource, mode) pairs *statement* locks: the catalog
+        first, then its tables in ascending order, so two statements'
+        locksets can never be acquired in opposite orders.
 
-        Runs briefly under the engine latch: view resolution must read a
-        consistent catalog, and the latch is never held across a lock
-        wait, so this cannot deadlock.  Cached per (sql, generation).
+        The caller holds the latch (views resolve to their base tables
+        through the catalog) and, for the answer to stay true, the
+        catalog lock.  Transaction control locks nothing.
         """
-        normalized = " ".join(sql.split())
-        with self.db._latch:
-            generation = self.db.catalog.generation
-            key = (normalized, generation)
-            with self._mutex:
-                cached = self._lockset_cache.get(key)
-            if cached is not None:
-                return cached, generation
-            statement = parse_statement(sql)
-            lockset = self._statement_locks(statement)
-            with self._mutex:
-                if len(self._lockset_cache) > 512:
-                    self._lockset_cache.clear()
-                self._lockset_cache[key] = lockset
-            return lockset, generation
-
-    def _statement_locks(
-        self, statement: A.Statement
-    ) -> Tuple[Tuple[str, str], ...]:
-        """Table locks for one statement (sorted — deterministic order
-        prevents lock-order deadlocks *within* a statement; across
-        statements of a transaction, detection takes over)."""
+        if isinstance(statement, _TXN_CONTROL):
+            return ()
+        catalog = self.db.catalog
         wanted: Dict[str, str] = {}
 
         def want(name: str, mode: str) -> None:
             name = name.lower()
             if name in SYSTEM_TABLE_NAMES:
                 return  # rebuilt snapshots; never lockable resources
-            if self.db.catalog.has_view(name):
+            if catalog.has_view(name):
                 # Lock the base tables a view reads/writes, recursively.
-                for base in self._select_sources(
-                    self.db.catalog.view(name).query
-                ):
+                for base in read_sources(catalog.view(name).query):
                     want(base, mode)
                 return
             if wanted.get(name) != EXCLUSIVE:
                 wanted[name] = mode
 
-        def want_sources(select: A.Select, mode: str = SHARED) -> None:
-            for name in self._select_sources(select):
-                want(name, mode)
-
-        if isinstance(
-            statement,
-            (A.Begin, A.Commit, A.Rollback, A.Savepoint, A.RollbackTo,
-             A.ReleaseSavepoint),
-        ):
-            return ()  # pure transaction control: no resources touched
-        if isinstance(statement, A.Select):
-            want_sources(statement)
-        elif isinstance(statement, A.Union):
-            for arm in statement.selects:
-                want_sources(arm)
-        elif isinstance(statement, A.Explain):
-            if statement.analyze:
-                want_sources(statement.query)
-        elif isinstance(statement, A.Insert):
+        if isinstance(statement, (A.Insert, A.Update, A.Delete)):
             want(statement.table, EXCLUSIVE)
-            if statement.select is not None:
-                want_sources(statement.select)
-        elif isinstance(statement, (A.Update, A.Delete)):
-            want(statement.table, EXCLUSIVE)
-            for name in self._expr_sources(statement.where):
-                want(name, SHARED)
-        else:
-            # DDL / ANALYZE / GRANT / anything else schema-shaped: the
-            # exclusive catalog lock serialises it against every open
-            # transaction, plus X on the named object's table when known.
+        elif not isinstance(statement, _DATA_STATEMENTS):
+            # DDL / ANALYZE / GRANT: X on the named object's table when
+            # known, besides the exclusive catalog lock.
             target = (
                 getattr(statement, "table", None)
                 or getattr(statement, "name", None)
             )
             if isinstance(target, str):
                 want(target, EXCLUSIVE)
-            wanted[CATALOG_RESOURCE] = EXCLUSIVE
-        if CATALOG_RESOURCE not in wanted:
-            # Everyone else shares the catalog so DDL cannot shift the
-            # schema underneath an open statement or transaction.
-            wanted[CATALOG_RESOURCE] = SHARED
-        # Catalog pseudo-lock strictly first, then tables ascending.  A
-        # plain sorted() almost gives this for free ("__catalog__" sorts
-        # before every letter), but a user table like "__a" would slip in
-        # front of it — and DDL holding X on the catalog while a reader
-        # acquires its tables catalog-last is exactly the inversion the
-        # ordering exists to prevent.
-        return tuple(sorted(
-            wanted.items(), key=lambda kv: (kv[0] != CATALOG_RESOURCE, kv[0])
-        ))
-
-    def _select_sources(self, select: A.Select) -> List[str]:
-        """Every table/view a SELECT reads (joins + subqueries), lowered."""
-        names: List[str] = []
-        if select.from_table is not None:
-            names.append(select.from_table.name.lower())
-        names.extend(join.table.name.lower() for join in select.joins)
-        exprs: List[Any] = [select.where, select.having]
-        exprs.extend(join.condition for join in select.joins)
-        exprs.extend(item.expr for item in select.order_by)
-        for item in select.items:
-            if item.expr is not None:
-                exprs.append(item.expr)
-        for expr in exprs:
-            names.extend(self._expr_sources(expr))
-        return names
-
-    def _expr_sources(self, expr: Any) -> List[str]:
-        """Sources referenced by subqueries inside one expression."""
-        from repro.relational import expr as E
-
-        if expr is None or not isinstance(expr, E.Expr):
-            return []
-        names: List[str] = []
-        for node in expr.walk():
-            if isinstance(node, SubqueryExpr):
-                names.extend(self._select_sources(node.select))
-        return names
+        for name in read_sources(statement):
+            want(name, SHARED)
+        return (
+            ((CATALOG_RESOURCE, _catalog_mode(statement)),)
+            + tuple(sorted(wanted.items()))
+        )
 
     # -- telemetry ---------------------------------------------------------
 

@@ -30,7 +30,7 @@ import json
 import socket
 import struct
 import threading
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.errors import WowError
 from repro.session.manager import Session, SessionConfig, SessionManager
@@ -87,6 +87,14 @@ def error_frame(exc: BaseException) -> Dict[str, Any]:
     }
 
 
+def _shutdown(sock: socket.socket) -> None:
+    """Wake every thread blocked on *sock* (it may already be closed)."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+
+
 class DatabaseServer:
     """Thread-per-connection server over one SessionManager."""
 
@@ -107,6 +115,8 @@ class DatabaseServer:
         self.address: Tuple[str, int] = self._listener.getsockname()[:2]
         self._accept_thread: Optional[threading.Thread] = None
         self._workers: List[threading.Thread] = []
+        #: live connection sockets, shut down by stop() so workers exit
+        self._connections: Set[socket.socket] = set()
         self._running = False
 
     def start(self) -> "DatabaseServer":
@@ -118,14 +128,21 @@ class DatabaseServer:
         return self
 
     def stop(self) -> None:
-        """Stop accepting, close live sessions, join worker threads."""
+        """Stop accepting, close live sessions, join worker threads.
+
+        Closing a listening socket does not wake a thread blocked in its
+        ``accept()`` on Linux, and an idle connection's worker sits in
+        ``recv()``; shutting the sockets down wakes both, so this returns
+        promptly and leaves no server thread behind.
+        """
         self._running = False
-        try:
-            self._listener.close()
-        except OSError:
-            pass
+        _shutdown(self._listener)
+        self._listener.close()
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5)
+        # The accept thread has exited, so no connection is added now.
+        for conn in list(self._connections):
+            _shutdown(conn)
         for worker in self._workers:
             worker.join(timeout=5)
         self.manager.close()
@@ -143,7 +160,8 @@ class DatabaseServer:
             try:
                 conn, _addr = self._listener.accept()
             except OSError:
-                break  # listener closed by stop()
+                break  # listener shut down by stop()
+            self._connections.add(conn)
             worker = threading.Thread(
                 target=self._serve_connection,
                 args=(conn,),
@@ -154,51 +172,58 @@ class DatabaseServer:
             self._workers.append(worker)
 
     def _serve_connection(self, conn: socket.socket) -> None:
-        with conn:
+        try:
+            self._serve(conn)
+        finally:
+            self._connections.discard(conn)
+            conn.close()
+
+    def _serve(self, conn: socket.socket) -> None:
+        """One connection's conversation: hello, then requests to EOF."""
+        try:
+            hello = recv_frame(conn)
+        except (ConnectionError, ValueError, json.JSONDecodeError):
+            return
+        if hello is None or hello.get("op") != "hello":
             try:
-                hello = recv_frame(conn)
-            except (ConnectionError, ValueError, json.JSONDecodeError):
-                return
-            if hello is None or hello.get("op") != "hello":
-                try:
-                    send_frame(
-                        conn,
-                        {
-                            "ok": False,
-                            "error": "first frame must be a hello",
-                            "error_type": "SessionError",
-                            "retryable": False,
-                        },
-                    )
-                except OSError:
-                    pass
-                return
-            try:
-                session = self.manager.connect(
-                    user=str(hello.get("user", "dba"))
+                send_frame(
+                    conn,
+                    {
+                        "ok": False,
+                        "error": "first frame must be a hello",
+                        "error_type": "SessionError",
+                        "retryable": False,
+                    },
                 )
-            except WowError as exc:  # BusyError: retryable refusal
-                try:
-                    send_frame(conn, error_frame(exc))
-                except OSError:
-                    pass
-                return
+            except OSError:
+                pass
+            return
+        try:
+            session = self.manager.connect(
+                user=str(hello.get("user", "dba"))
+            )
+        except WowError as exc:  # BusyError: retryable refusal
             try:
-                send_frame(conn, {"ok": True, "session": session.id})
-                while True:
-                    try:
-                        request = recv_frame(conn)
-                    except (ConnectionError, ValueError,
-                            json.JSONDecodeError):
-                        break
-                    if request is None or request.get("op") == "close":
-                        break
-                    try:
-                        send_frame(conn, self._handle(session, request))
-                    except OSError:
-                        break
-            finally:
-                session.close()
+                send_frame(conn, error_frame(exc))
+            except OSError:
+                pass
+            return
+        try:
+            send_frame(conn, {"ok": True, "session": session.id})
+            while True:
+                try:
+                    request = recv_frame(conn)
+                except (ConnectionError, ValueError,
+                        json.JSONDecodeError):
+                    break
+                if request is None or request.get("op") == "close":
+                    break
+                try:
+                    send_frame(conn, self._handle(session, request))
+                except OSError:
+                    break
+        finally:
+            session.close()
 
     def _handle(
         self, session: Session, request: Dict[str, Any]

@@ -102,6 +102,77 @@ class SubqueryExpr(E.Expr):
         return "(<scalar subquery>)"
 
 
+def select_blocks(statement: A.Statement) -> List[Tuple[A.Select, bool]]:
+    """Every SELECT block *statement* evaluates, each with whether it is a
+    subquery.
+
+    Covers UNION arms, EXPLAIN's query, INSERT ... SELECT, and subqueries
+    wherever an expression can hold one: WHERE, HAVING, ON, ORDER BY,
+    select items, GROUP BY, aggregate arguments, UPDATE SET and WHERE,
+    and DELETE WHERE.  Any other statement has none.  (Plain recursion
+    rather than generators: sessions walk every statement they run.)
+    """
+    blocks: List[Tuple[A.Select, bool]] = []
+
+    def in_expr(node: Any) -> None:
+        if isinstance(node, AggExpr):
+            node = node.call
+        if isinstance(node, A.AggCall):
+            node = node.arg
+        if isinstance(node, SubqueryExpr):
+            in_select(node.select, True)
+        if isinstance(node, E.Expr):
+            for child in node.children():
+                in_expr(child)
+
+    def in_select(select: A.Select, nested: bool) -> None:
+        blocks.append((select, nested))
+        in_expr(select.where)
+        in_expr(select.having)
+        for expr in select.group_by:
+            in_expr(expr)
+        for join in select.joins:
+            in_expr(join.condition)
+        for item in select.order_by:
+            in_expr(item.expr)
+        for item in select.items:
+            in_expr(item.expr)
+
+    if isinstance(statement, A.Explain):
+        statement = statement.query
+    if isinstance(statement, A.Select):
+        in_select(statement, False)
+    elif isinstance(statement, A.Union):
+        for arm in statement.selects:
+            in_select(arm, False)
+        for item in statement.order_by:
+            in_expr(item.expr)
+    elif isinstance(statement, A.Insert) and statement.select is not None:
+        in_select(statement.select, False)
+    elif isinstance(statement, A.Update):
+        for _column, expr in statement.assignments:
+            in_expr(expr)
+        in_expr(statement.where)
+    elif isinstance(statement, A.Delete):
+        in_expr(statement.where)
+    return blocks
+
+
+def read_sources(statement: A.Statement) -> List[str]:
+    """Every table and view *statement* reads, lowered, in walk order.
+
+    These are the FROM and JOIN entries of every block
+    :func:`select_blocks` yields.  Views are not expanded: a caller that
+    needs base tables resolves them against the catalog.
+    """
+    names: List[str] = []
+    for select, _nested in select_blocks(statement):
+        if select.from_table is not None:
+            names.append(select.from_table.name.lower())
+        names.extend(join.table.name.lower() for join in select.joins)
+    return names
+
+
 _AGG_KEYWORDS = {"COUNT", "SUM", "AVG", "MIN", "MAX"}
 _CMP_OPS = {"=", "!=", "<", "<=", ">", ">="}
 

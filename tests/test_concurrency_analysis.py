@@ -28,6 +28,7 @@ from repro.analysis.rules import Violation
 from repro.errors import LockDisciplineError
 from repro.relational.database import Database
 from repro.session.manager import SessionManager
+from repro.sql.parser import parse_statement
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +206,13 @@ class Manager:
         # the PR 8 wiring shows up as latch-outermost edges
         firsts = {e.first for e in report.order_edges}
         assert "engine_latch" in firsts
-        # and the latch-over-lock_table edge is release_all (which never
-        # waits), not acquire
+        # and the latch-over-lock_table edge is a lock-table call that
+        # never waits (release_all, or held() from the _sessions table),
+        # not acquire
         latch_edges = [e for e in report.order_edges
                        if e.first == "engine_latch" and e.then == "lock_table"]
-        assert all("release_all" in e.scope for e in latch_edges)
+        assert all(e.scope in ("LockManager.release_all", "LockManager.held")
+                   for e in latch_edges)
 
     def test_dispatch_edges_reach_system_table_builders(self):
         # Catalog.table -> build_sessions -> SessionManager.session_rows
@@ -469,7 +472,7 @@ class TestLocksetOrdering:
         # explicit sort key must keep the catalog strictly first
         db = Database()
         manager = SessionManager(db)
-        lockset, _ = manager._lockset("SELECT * FROM __a")
+        lockset = manager._lockset(parse_statement("SELECT * FROM __a"))
         resources = [resource for resource, _ in lockset]
         assert resources[0] == "__catalog__"
         assert "__a" in resources
@@ -477,8 +480,8 @@ class TestLocksetOrdering:
     def test_tables_sorted_after_catalog(self):
         db = Database()
         manager = SessionManager(db)
-        lockset, _ = manager._lockset(
-            "SELECT * FROM t_b JOIN t_a ON t_b.id = t_a.id")
+        lockset = manager._lockset(parse_statement(
+            "SELECT * FROM t_b JOIN t_a ON t_b.id = t_a.id"))
         resources = [resource for resource, _ in lockset]
         assert resources[0] == "__catalog__"
         assert resources[1:] == sorted(resources[1:])

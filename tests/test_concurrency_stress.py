@@ -18,14 +18,18 @@ hold under *any* interleaving:
   the `_statements`/`_sessions` telemetry tables stay joinable.
 
 `WOW_CHAOS_SEEDS` widens the seed matrix for CI (`=20` runs seeds 0..19);
-the default three seeds keep the tier-1 run fast.  The crash variants at
-the bottom mix in the PR 3 fault-injection harness: a mid-commit kill -9
-under concurrent sessions must recover to a consistent, non-degraded
-database.
+the default three seeds keep the tier-1 run fast.  A failed invariant or
+a hung worker reports its seed and each worker's last statements with
+their outcomes, so the failing run can be replayed and read.  The crash
+variants at the bottom mix in the fault-injection harness
+(`repro.relational.faults`): a mid-commit kill -9 under concurrent
+sessions must recover to a consistent, non-degraded database.
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import os
 import random
 import shutil
@@ -43,6 +47,8 @@ N_WORKERS = 8
 OPS_PER_WORKER = 25
 COUNTER_ROWS = 4
 JOIN_TIMEOUT = 60.0
+#: statements per worker kept for the failure report
+TRACE_LENGTH = 20
 
 
 def _seeds():
@@ -85,6 +91,8 @@ class _Worker:
         self.retryable_failures = 0
         self.crashed = False
         self.unexpected = []
+        #: (statement, outcome) for the last TRACE_LENGTH statements
+        self.trace = collections.deque(maxlen=TRACE_LENGTH)
 
     def run(self):
         try:
@@ -99,23 +107,33 @@ class _Worker:
         except Exception as exc:  # noqa: BLE001 - harness boundary
             self.unexpected.append(exc)
 
+    def _execute(self, session, sql):
+        """Run one statement, recording it and its outcome in the trace."""
+        try:
+            session.execute(sql)
+        except BaseException as exc:
+            self.trace.append((sql, f"{type(exc).__name__}: {exc}"))
+            raise
+        self.trace.append((sql, "ok"))
+
     # -- one operation ------------------------------------------------------
 
     def _one(self, session, op):
         roll = self.rng.random()
         try:
             if roll < 0.25:
-                session.query("SELECT SUM(v) FROM counters")
+                self._execute(session, "SELECT SUM(v) FROM counters")
             elif roll < 0.50:
                 row = self.rng.randrange(COUNTER_ROWS)
-                session.execute(
-                    f"UPDATE counters SET v = v + 1 WHERE id = {row}"
+                self._execute(
+                    session, f"UPDATE counters SET v = v + 1 WHERE id = {row}"
                 )
                 self.committed_increments += 1
             elif roll < 0.62:
-                session.execute(
+                self._execute(
+                    session,
                     f"INSERT INTO audit VALUES "
-                    f"({self.worker * 1000 + op}, {self.worker}, {op})"
+                    f"({self.worker * 1000 + op}, {self.worker}, {op})",
                 )
                 self.committed_audits += 1
             elif roll < 0.94:
@@ -146,22 +164,24 @@ class _Worker:
         )
         for _attempt in range(4):
             try:
-                session.execute("BEGIN")
-                session.query("SELECT COUNT(*) FROM counters")  # S first
+                self._execute(session, "BEGIN")
+                # S first
+                self._execute(session, "SELECT COUNT(*) FROM counters")
                 if audit_first:
-                    session.execute(audit_sql)
+                    self._execute(session, audit_sql)
                 for row in rows:
-                    session.execute(
-                        f"UPDATE counters SET v = v + 1 WHERE id = {row}"
+                    self._execute(
+                        session,
+                        f"UPDATE counters SET v = v + 1 WHERE id = {row}",
                     )
                 if not audit_first:
-                    session.execute(audit_sql)
+                    self._execute(session, audit_sql)
                 if commit:
-                    session.execute("COMMIT")
+                    self._execute(session, "COMMIT")
                     self.committed_increments += len(rows)
                     self.committed_audits += 1
                 else:
-                    session.execute("ROLLBACK")
+                    self._execute(session, "ROLLBACK")
                 return
             except WowError as exc:
                 if not exc.retryable:
@@ -172,11 +192,30 @@ class _Worker:
 
     def _ddl(self, session, op):
         """Catalog churn: forces the catalog X lock to serialise against
-        every open transaction, and bumps the generation the statement
-        pipeline re-checks."""
+        every open transaction, and invalidates every cached plan."""
         name = f"scratch_{self.worker}_{op}"
-        session.execute(f"CREATE TABLE {name} (id INT PRIMARY KEY)")
-        session.execute(f"DROP TABLE {name}")
+        self._execute(session, f"CREATE TABLE {name} (id INT PRIMARY KEY)")
+        self._execute(session, f"DROP TABLE {name}")
+
+
+def _replay_report(seed, workers):
+    """The seed to replay plus each worker's last statements and outcomes."""
+    lines = [f"chaos seed {seed}; last statements per worker (oldest first):"]
+    for worker in workers:
+        lines.append(f"  worker {worker.worker}:")
+        lines.extend(
+            f"    {sql}  ->  {outcome}" for sql, outcome in worker.trace
+        )
+    return "\n".join(lines)
+
+
+@contextlib.contextmanager
+def _replayable(seed, workers):
+    """Re-raise a failed check with :func:`_replay_report` attached."""
+    try:
+        yield
+    except AssertionError as exc:
+        raise AssertionError(f"{exc}\n{_replay_report(seed, workers)}") from exc
 
 
 def _run_workers(manager, seed):
@@ -187,11 +226,13 @@ def _run_workers(manager, seed):
     ]
     for thread in threads:
         thread.start()
-    for thread in threads:
-        thread.join(timeout=JOIN_TIMEOUT)
-        assert not thread.is_alive(), (
-            "worker hung — a lock wait neither timed out nor deadlock-aborted"
-        )
+    with _replayable(seed, workers):
+        for thread in threads:
+            thread.join(timeout=JOIN_TIMEOUT)
+            assert not thread.is_alive(), (
+                "worker hung — a lock wait neither timed out nor "
+                "deadlock-aborted"
+            )
     return workers
 
 
@@ -227,47 +268,47 @@ def test_chaos_invariants(seed, lock_check):
     )
     _setup_schema(db)
     workers = _run_workers(manager, seed)
+    with _replayable(seed, workers):
+        assert not any(w.unexpected for w in workers), [
+            w.unexpected for w in workers if w.unexpected
+        ]
 
-    assert not any(w.unexpected for w in workers), [
-        w.unexpected for w in workers if w.unexpected
-    ]
+        # zero lost updates: the committed ledger matches the table exactly
+        total = sum(w.committed_increments for w in workers)
+        assert db.query("SELECT SUM(v) FROM counters") == [(total,)]
+        audits = sum(w.committed_audits for w in workers)
+        assert db.query("SELECT COUNT(*) FROM audit") == [(audits,)]
 
-    # zero lost updates: the committed ledger matches the table exactly
-    total = sum(w.committed_increments for w in workers)
-    assert db.query("SELECT SUM(v) FROM counters") == [(total,)]
-    audits = sum(w.committed_audits for w in workers)
-    assert db.query("SELECT COUNT(*) FROM audit") == [(audits,)]
+        report = db.integrity_check()
+        assert report.ok, report.problems
+        assert not db.read_only
 
-    report = db.integrity_check()
-    assert report.ok, report.problems
-    assert not db.read_only
+        snap = db.metrics_snapshot()["sessions"]
+        assert snap["statements"] > N_WORKERS
+        assert snap["connects"] == N_WORKERS
+        assert snap["disconnects"] == N_WORKERS
+        # every deadlock was resolved by aborting a victim
+        assert snap["aborts"] >= snap["lock_deadlocks"]
 
-    snap = db.metrics_snapshot()["sessions"]
-    assert snap["statements"] > N_WORKERS
-    assert snap["connects"] == N_WORKERS
-    assert snap["disconnects"] == N_WORKERS
-    # every deadlock was resolved by aborting a victim
-    assert snap["aborts"] >= snap["lock_deadlocks"]
+        # telemetry stays joinable: a live session's statements carry its id
+        post = manager.connect()
+        post.query("SELECT COUNT(*) FROM counters")
+        joined = db.query(
+            "SELECT COUNT(*) FROM _statements st "
+            "JOIN _sessions s ON st.session = s.id"
+        )
+        assert joined[0][0] >= 1
+        post.close()
+        manager.close()
 
-    # telemetry stays joinable: a live session's statements carry its id
-    post = manager.connect()
-    post.query("SELECT COUNT(*) FROM counters")
-    joined = db.query(
-        "SELECT COUNT(*) FROM _statements st "
-        "JOIN _sessions s ON st.session = s.id"
-    )
-    assert joined[0][0] >= 1
-    post.close()
-    manager.close()
-
-    # the dynamic lockset detector watched every acquisition: no thread
-    # ever waited on a table lock under the latch, inverted a statement
-    # lockset, or inverted the observed mutex order
-    dyn = dynlock.snapshot()
-    assert dyn["enabled"]
-    assert dyn["acquisitions"] > 0
-    assert dyn["lockset_runs"] > N_WORKERS
-    assert dyn["violations"] == [], dyn["violations"]
+        # the dynamic lockset detector watched every acquisition: no thread
+        # ever waited on a table lock under the latch, inverted a statement
+        # lockset, or inverted the observed mutex order
+        dyn = dynlock.snapshot()
+        assert dyn["enabled"]
+        assert dyn["acquisitions"] > 0
+        assert dyn["lockset_runs"] > N_WORKERS
+        assert dyn["violations"] == [], dyn["violations"]
 
 
 def test_chaos_workload_is_seed_deterministic():
@@ -282,6 +323,21 @@ def test_chaos_workload_is_seed_deterministic():
     assert [a.rng.random() for _ in range(5)] != [
         c.rng.random() for _ in range(5)
     ]
+
+
+def test_failure_report_names_seed_and_recent_statements():
+    """A failed check carries the seed and each worker's statement tail."""
+    worker = _Worker(None, 2, seed=5)
+    worker.trace.extend(("BEGIN", "ok") for _ in range(TRACE_LENGTH + 5))
+    worker.trace.append(("COMMIT", "SerializationError: deadlock"))
+    with pytest.raises(AssertionError) as info:
+        with _replayable(5, [worker]):
+            assert False, "lost update"
+    text = str(info.value)
+    assert "lost update" in text
+    assert "chaos seed 5" in text
+    assert "COMMIT  ->  SerializationError: deadlock" in text
+    assert text.count("BEGIN  ->  ok") == TRACE_LENGTH - 1
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +369,10 @@ def test_threaded_chaos_with_mid_run_crash(tmp_path, crash_offset):
     shim.crash_at = shim.io_calls + crash_offset
 
     workers = _run_workers(manager, seed=crash_offset)
-    assert not any(w.unexpected for w in workers), [
-        w.unexpected for w in workers if w.unexpected
-    ]
+    with _replayable(crash_offset, workers):
+        assert not any(w.unexpected for w in workers), [
+            w.unexpected for w in workers if w.unexpected
+        ]
     assert any(w.crashed for w in workers), (
         "the armed crash point was never reached — widen the offset"
     )
@@ -371,9 +428,10 @@ def test_threaded_chaos_tiny_pool(tmp_path):
     assert db.catalog.table("filler").heap.page_count() > 4
     assert db.query("SELECT COUNT(*) FROM filler") == [(200,)]
     workers = _run_workers(manager, seed=7)
-    assert not any(w.unexpected for w in workers), [
-        w.unexpected for w in workers if w.unexpected
-    ]
+    with _replayable(7, workers):
+        assert not any(w.unexpected for w in workers), [
+            w.unexpected for w in workers if w.unexpected
+        ]
     pool_stats = db.metrics_snapshot()["pager"]
     assert pool_stats.get("pool_overflows", 0) > 0, (
         "a two-page pool never overflowed — the pressure test exerted none"

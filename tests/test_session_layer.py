@@ -11,7 +11,9 @@ forever.
 from __future__ import annotations
 
 import socket
+import sys
 import threading
+import time
 
 import pytest
 
@@ -25,6 +27,7 @@ from repro.errors import (
     StatementTimeoutError,
     TransactionError,
 )
+from repro.relational.auth import AuthError
 from repro.relational.database import Database
 from repro.relational.txn import UndoEntry
 from repro.session import (
@@ -38,6 +41,8 @@ from repro.session import (
     SessionManager,
 )
 from repro.session.server import FRAME_HEADER, MAX_FRAME_BYTES, recv_frame, send_frame
+from repro.sql import parser
+from repro.sql.parser import parse_statement
 
 JOIN_TIMEOUT = 20.0
 
@@ -524,6 +529,111 @@ class TestDegradation:
         reopened.close()
 
 
+class _DdlInWindow(LockManager):
+    """Runs *ddl* on a second thread, and joins it, inside every
+    ``begin_lockset`` of one victim session: a schema change lands between
+    the moment a statement knows its text and the moment it holds its
+    locks, every time, with no dependence on thread timing."""
+
+    def __init__(self, ddl):
+        super().__init__()
+        self.ddl = ddl
+        self.victim = None
+        self.fired = 0
+
+    def begin_lockset(self, session_id):
+        super().begin_lockset(session_id)
+        if session_id == self.victim:
+            self.fired += 1
+            thread, box = run_thread(self.ddl)
+            join_dead(thread)
+            assert "error" not in box, box
+
+
+#: statements that read `secret` only through a subquery in a clause the
+#: privilege check and the lockset once skipped
+SECRET_READS = [
+    "SELECT SUM(v + (SELECT MAX(x) FROM secret)) FROM t",
+    "SELECT COUNT(*) FROM t GROUP BY v + (SELECT MAX(x) FROM secret)",
+    "UPDATE t SET v = (SELECT MAX(x) FROM secret) WHERE id = 1",
+    "UPDATE t SET v = 5 WHERE id IN (SELECT id FROM secret)",
+]
+
+
+class TestStatementPipeline:
+    @pytest.mark.parametrize("sql", SECRET_READS)
+    def test_subquery_sources_are_checked_and_locked(self, db, mgr, sql):
+        _seed(db)
+        db.execute("CREATE TABLE secret (id INT PRIMARY KEY, x INT)")
+        db.execute("INSERT INTO secret VALUES (1, 99)")
+        db.execute("GRANT SELECT, UPDATE ON t TO alice")
+        alice = mgr.connect("alice")
+        with pytest.raises(AuthError):
+            alice.execute(sql)
+        assert ("secret", SHARED) in mgr._lockset(parse_statement(sql))
+        mgr.connect().execute(sql)  # the superuser may read secret
+
+    def test_ddl_in_the_lock_window_cannot_livelock(self, db, mgr):
+        _seed(db)
+        other = mgr.connect()
+        names = iter(range(1000))
+
+        def churn():
+            name = f"churn_{next(names)}"
+            other.execute(f"CREATE TABLE {name} (id INT PRIMARY KEY)")
+            other.execute(f"DROP TABLE {name}")
+
+        mgr.locks = hooked = _DdlInWindow(churn)
+        victim = mgr.connect()
+        hooked.victim = victim.id
+        for _ in range(3):
+            assert victim.query("SELECT COUNT(*) FROM t") == [(2,)]
+        assert hooked.fired == 3
+
+    def test_view_redefined_in_the_lock_window_locks_new_base(self, db, mgr):
+        db.execute("CREATE TABLE base_a (id INT PRIMARY KEY)")
+        db.execute("CREATE TABLE base_b (id INT PRIMARY KEY)")
+        db.execute("INSERT INTO base_b VALUES (7)")
+        db.execute("CREATE VIEW v AS SELECT id FROM base_a")
+        other = mgr.connect()
+
+        def redefine():
+            other.execute("DROP VIEW v")
+            other.execute("CREATE VIEW v AS SELECT id FROM base_b")
+
+        mgr.locks = hooked = _DdlInWindow(redefine)
+        victim = mgr.connect()
+        hooked.victim = victim.id
+        victim.execute("BEGIN")  # transaction control takes no locks
+        victim.query("SELECT id FROM v")  # parses, then DDL, then locks
+        hooked.victim = None  # the txn now holds the catalog in S
+        held = mgr.locks.held(victim.id)
+        assert ("base_b", SHARED) in held
+        assert "base_a" not in {resource for resource, _ in held}
+        assert victim.query("SELECT id FROM v") == [(7,)]
+        victim.execute("COMMIT")
+        assert hooked.fired == 1
+
+    def test_each_statement_is_parsed_once(self, db, mgr, monkeypatch):
+        _seed(db)
+        session = mgr.connect()
+        real = parser.parse_statement
+        calls = []
+
+        def counting(sql):
+            calls.append(sql)
+            return real(sql)
+
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("repro")
+                    and getattr(module, "parse_statement", None) is real):
+                monkeypatch.setattr(module, "parse_statement", counting)
+        n = 20
+        for i in range(n):  # distinct literals: every one a cache miss
+            session.query(f"SELECT v FROM t WHERE id = {i}")
+        assert len(calls) == n
+
+
 class TestTelemetry:
     def test_statements_carry_session_and_cache_attribution(self, db, mgr):
         _seed(db)
@@ -660,4 +770,23 @@ class TestServer:
             join_dead(thread)
             assert "error" not in box
             box["value"].close()
+        db.close()
+
+    def test_stop_is_prompt_and_leaves_no_thread(self):
+        db = Database()
+        server = DatabaseServer(db, port=0).start()
+        host, port = server.address
+        remote = RemoteSession(host, port)  # connected, then idle
+        try:
+            start = time.monotonic()
+            server.stop()
+            elapsed = time.monotonic() - start
+        finally:
+            remote.close()
+        assert elapsed < 1.0
+        alive = [
+            thread.name for thread in threading.enumerate()
+            if thread.name.startswith("wow-server-")
+        ]
+        assert alive == []
         db.close()
