@@ -11,7 +11,7 @@ Three gates, one per headline storage feature of the v2 pool:
    page), which the report also shows raw.  Gate: >= 1.5x shimmed
    wall-clock speedup AND >= 1.5x fewer preads.
 2. **Hot analytic scan** — a GROUP BY aggregate over a warm table with
-   ``PlannerConfig.segment_cache`` on vs off (both vectorized).  With
+   ``PlannerConfig.segment_cache`` on vs off.  With
    the cache on, repeat scans serve decoded column arrays straight from
    the segment store instead of re-reading and re-decoding every page.
    Gate: >= 2x.
@@ -118,9 +118,7 @@ def _best_cold(path, pool_size, prefetch, shimmed, rounds):
 
 
 def _build_fact_db(data_dir: str, rows: int) -> Database:
-    db = Database(
-        path=data_dir, planner_config=PlannerConfig(vectorized=True)
-    )
+    db = Database(path=data_dir)
     db.execute(
         "CREATE TABLE fact (id INT PRIMARY KEY, grp INT, val INT, pad TEXT)"
     )
@@ -135,9 +133,7 @@ def _build_fact_db(data_dir: str, rows: int) -> Database:
 
 def _best_hot(db: Database, segment_cache: bool, rounds: int, reps: int):
     """Best-of-*rounds* mean ms for the hot aggregate; returns (ms, rows)."""
-    db.set_planner_config(
-        PlannerConfig(vectorized=True, segment_cache=segment_cache)
-    )
+    db.set_planner_config(PlannerConfig(segment_cache=segment_cache))
     rows = db.query(HOT_QUERY)  # warm: plan cached, segments built
     best = float("inf")
     for _ in range(rounds):

@@ -595,8 +595,8 @@ _WOW006_FIXIT = (
 
 def native_batched_operators(algebra_source: str) -> List[Tuple[str, int]]:
     """(class name, line) of every Operator subclass in *algebra_source*
-    that defines its own ``rows_batched`` (mirrors the runtime check
-    ``type(op).rows_batched is not Operator.rows_batched``)."""
+    that defines its own ``rows_batched`` (``Operator.rows_batched`` is
+    abstract, so that is every operator that can run)."""
     tree = ast.parse(algebra_source)
     found: List[Tuple[str, int]] = []
     for node in ast.iter_child_nodes(tree):

@@ -1,19 +1,16 @@
 """EXPLAIN ANALYZE support: per-operator runtime counters.
 
-:func:`instrument` walks an operator tree and wraps each node's ``rows()``
-and ``rows_batched()`` with counting/timing generators (instance-attribute
-assignment — operator classes have no ``__slots__``).  The wrappers only
-exist on trees that are being ANALYZEd, so the normal execution path pays
-nothing.
+:func:`instrument` walks an operator tree and wraps each node's
+``rows_batched()`` with a counting/timing generator (instance-attribute
+assignment — operator classes have no ``__slots__``).  ``rows()`` flattens
+the instance's ``rows_batched()``, so it is counted by the same wrapper.
+The wrappers only exist on trees that are being ANALYZEd, so the normal
+execution path pays nothing.
 
 Timings are *inclusive*: an operator's elapsed time includes its children,
 matching PostgreSQL's EXPLAIN ANALYZE convention.  ``loops`` counts how
-many times ``rows()`` was restarted (e.g. the inner side of a nested-loop
-join before materialisation, or a re-executed view).  Under vectorized
-execution ``batches`` counts emitted batches; operators without a native
-batch path (served by the base-class adapter over ``rows()``) count their
-rows through the ``rows()`` wrapper and only the batch chunking here, so
-nothing is double-counted.
+many times the operator was restarted (e.g. a re-executed view), and
+``batches`` counts the batches it emitted.
 """
 
 from __future__ import annotations
@@ -73,33 +70,11 @@ def instrument(root: Operator) -> Dict[int, OpStats]:
         op_stats = stats[id(op)] = OpStats(
             est_rows=None if op.est_rows is None else float(op.est_rows)
         )
-        original_rows = op.rows
         original_batched = op.rows_batched
-        native_batched = type(op).rows_batched is not Operator.rows_batched
-
-        def counted_rows() -> Iterator[Tuple[Any, ...]]:
-            op_stats.loops += 1
-            start = time.perf_counter()
-            try:
-                for row in original_rows():
-                    op_stats.elapsed += time.perf_counter() - start
-                    op_stats.rows_out += 1
-                    yield row
-                    start = time.perf_counter()
-            finally:
-                op_stats.elapsed += time.perf_counter() - start
 
         def counted_batches(
             batch_size: int = DEFAULT_BATCH_SIZE,
         ) -> Iterator[List[Tuple[Any, ...]]]:
-            if not native_batched:
-                # The base-class adapter pulls op.rows() — which is now
-                # counted_rows, already tracking rows/loops/time — so only
-                # tally the chunking here.
-                for batch in original_batched(batch_size):
-                    op_stats.batches += 1
-                    yield batch
-                return
             op_stats.loops += 1
             start = time.perf_counter()
             try:
@@ -112,7 +87,6 @@ def instrument(root: Operator) -> Dict[int, OpStats]:
             finally:
                 op_stats.elapsed += time.perf_counter() - start
 
-        op.rows = counted_rows  # type: ignore[method-assign]
         op.rows_batched = counted_batches  # type: ignore[method-assign]
         for child in op.children():
             wrap(child)
@@ -134,10 +108,10 @@ def render_analyze(
 
     *plan_cache*, when given, is the database's statement-cache counter
     snapshot; EXPLAIN ANALYZE itself always plans fresh (instrumentation
-    wraps the plan's ``rows`` methods, which must never leak into a cached
-    tree), so the line reports the cache's lifetime counters, not a hit for
-    this statement.  Under vectorized execution each operator line carries
-    ``batches=`` and, where expressions were lowered, ``compiled=yes/no``.
+    wraps the plan's ``rows_batched`` methods, which must never leak into a
+    cached tree), so the line reports the cache's lifetime counters, not a
+    hit for this statement.  Each operator line carries ``batches=`` and,
+    where expressions were lowered, ``compiled=yes/no``.
     *verified*, when given, is the operator count the static plan verifier
     checked (see :mod:`repro.analysis.planverify`).
     """

@@ -3,28 +3,27 @@
 Every operator exposes:
 
 * ``layout`` — the :class:`~repro.relational.expr.RowLayout` of its output;
-* ``rows()`` — an iterator of plain tuples (the tuple-at-a-time path);
-* ``rows_batched(batch_size)`` — an iterator of row *lists* (the
-  vectorized path; see below);
+* ``rows_batched(batch_size)`` — an iterator of row *lists*, the one
+  protocol operators implement;
+* ``rows()`` — the same rows one at a time, flattened from
+  ``rows_batched()`` by the base class;
 * ``explain()`` — a nested textual plan, one line per operator.
 
 Predicates and projections arrive *bound* (column references resolved to
 positions in the child's layout); the planner is responsible for binding.
-All operators are restartable: ``rows()``/``rows_batched()`` may be
-called repeatedly.
+All operators are restartable: ``rows_batched()`` may be called
+repeatedly.
 
-**Batch execution.**  ``rows()`` is the original Volcano-style pull loop;
-``rows_batched()`` moves the same rows in lists so the per-row Python
-overhead (generator resumption, ``eval`` tree walks, per-record decode)
-is paid once per batch instead of once per row.  The base class provides
-an adapter that chunks ``rows()``, so every operator participates; the
-hot operators override it with native batch implementations that pull
-batches from their children and evaluate expressions through
-:mod:`~repro.relational.exprcompile` closures.  Both paths must produce
-identical row sequences — batches are a transport, not a semantic —
-which the property tests in ``tests/test_property_engine.py`` enforce.
-Batch *sizes* are a hint: operators may emit shorter or slightly longer
-lists (a scan flushes whole pages), and empty batches are suppressed.
+**Batch execution.**  Operators move rows in lists so the per-row Python
+overhead (generator resumption, expression evaluation, per-record decode)
+is paid once per batch instead of once per row.  Each operator pulls
+batches from its children and evaluates expressions through
+:mod:`~repro.relational.exprcompile` closures.  Batches are a transport,
+not a semantic: the flattened output is the same row sequence at every
+batch size, which the property tests in ``tests/test_property_engine.py``
+enforce.  Batch *sizes* are a hint: operators may emit shorter or
+slightly longer lists (a scan flushes whole pages), and empty batches are
+suppressed.
 
 Compiled expression closures are cached on the operator instances, so
 plans held by the plan cache or a prepared statement compile once and
@@ -73,25 +72,13 @@ class Operator:
     est_cost: Optional[float] = None
 
     def rows(self) -> Iterator[Row]:
-        raise NotImplementedError
+        """The output one row at a time (looked up on the instance, so
+        EXPLAIN ANALYZE's wrapper counts these rows too)."""
+        for batch in self.rows_batched():
+            yield from batch
 
     def rows_batched(self, batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[List[Row]]:
-        """Default adapter: chunk ``rows()`` into lists.
-
-        Operators without a native batch implementation still slot into a
-        batched pipeline through this; overriders must yield the same rows
-        in the same order.
-        """
-        batch: List[Row] = []
-        append = batch.append
-        for row in self.rows():
-            append(row)
-            if len(batch) >= batch_size:
-                yield batch
-                batch = []
-                append = batch.append
-        if batch:
-            yield batch
+        raise NotImplementedError
 
     def compiled_status(self) -> Optional[str]:
         """``"yes"``/``"no"`` once expression compilation was attempted;
@@ -135,9 +122,6 @@ class SeqScan(Operator):
         #: the tests pinned to it) is independent of cache configuration
         self.use_segments = False
 
-    def rows(self) -> Iterator[Row]:
-        return self.table.rows()
-
     def rows_batched(self, batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[List[Row]]:
         return self.table.rows_batched(batch_size, use_segments=self.use_segments)
 
@@ -156,10 +140,6 @@ class IndexEqScan(Operator):
         self.key = key
         self.alias = (alias or table.name).lower()
         self.layout = RowLayout.for_table(self.alias, table.schema)
-
-    def rows(self) -> Iterator[Row]:
-        for rid in self.index.lookup(self.key):
-            yield self.table.read(rid)
 
     def rows_batched(self, batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[List[Row]]:
         rids = list(self.index.lookup(self.key))
@@ -196,12 +176,6 @@ class IndexRangeScan(Operator):
         self.alias = (alias or table.name).lower()
         self.layout = RowLayout.for_table(self.alias, table.schema)
 
-    def rows(self) -> Iterator[Row]:
-        for _key, rid in self.index.range_scan(
-            self.low, self.high, self.include_low, self.include_high
-        ):
-            yield self.table.read(rid)
-
     def rows_batched(self, batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[List[Row]]:
         read_many = self.table.read_many
         rids: List[Any] = []
@@ -230,9 +204,6 @@ class RowSource(Operator):
         self.layout = layout
         self._rows = list(rows)
         self._name = name
-
-    def rows(self) -> Iterator[Row]:
-        return iter(self._rows)
 
     def rows_batched(self, batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[List[Row]]:
         rows = self._rows
@@ -280,9 +251,6 @@ class Rename(Operator):
     def children(self) -> Tuple[Operator, ...]:
         return (self.child,)
 
-    def rows(self) -> Iterator[Row]:
-        return self.child.rows()
-
     def rows_batched(self, batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[List[Row]]:
         return self.child.rows_batched(batch_size)
 
@@ -301,12 +269,6 @@ class Filter(Operator):
 
     def children(self) -> Tuple[Operator, ...]:
         return (self.child,)
-
-    def rows(self) -> Iterator[Row]:
-        predicate = self.predicate
-        for row in self.child.rows():
-            if predicate.eval(row) is True:  # 3VL: NULL filters out
-                yield row
 
     def _predicate_fn(self) -> Callable[[Row], Any]:
         if self._compiled is None:
@@ -349,11 +311,6 @@ class Project(Operator):
     def children(self) -> Tuple[Operator, ...]:
         return (self.child,)
 
-    def rows(self) -> Iterator[Row]:
-        exprs = self.exprs
-        for row in self.child.rows():
-            yield tuple(e.eval(row) for e in exprs)
-
     def _row_fn(self) -> Callable[[Row], Row]:
         if self._compiled is None:
             self._compiled = exprcompile.compile_row_fn(self.exprs)
@@ -384,15 +341,6 @@ class Sort(Operator):
 
     def children(self) -> Tuple[Operator, ...]:
         return (self.child,)
-
-    def rows(self) -> Iterator[Row]:
-        materialised = list(self.child.rows())
-        # Stable multi-key sort: apply keys right-to-left.
-        for expr, ascending in reversed(self.keys):
-            materialised.sort(
-                key=lambda row: sort_key(expr.eval(row)), reverse=not ascending
-            )
-        return iter(materialised)
 
     def _key_fns(self) -> List[Tuple[Callable[[Row], Any], bool]]:
         if self._compiled is None:
@@ -437,18 +385,6 @@ class Limit(Operator):
     def children(self) -> Tuple[Operator, ...]:
         return (self.child,)
 
-    def rows(self) -> Iterator[Row]:
-        produced = 0
-        skipped = 0
-        for row in self.child.rows():
-            if skipped < self.offset:
-                skipped += 1
-                continue
-            if self.limit is not None and produced >= self.limit:
-                return
-            produced += 1
-            yield row
-
     def rows_batched(self, batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[List[Row]]:
         to_skip = self.offset
         remaining = self.limit  # None = unbounded
@@ -482,13 +418,6 @@ class Distinct(Operator):
     def children(self) -> Tuple[Operator, ...]:
         return (self.child,)
 
-    def rows(self) -> Iterator[Row]:
-        seen = set()
-        for row in self.child.rows():
-            if row not in seen:
-                seen.add(row)
-                yield row
-
     def rows_batched(self, batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[List[Row]]:
         seen: set = set()
         add = seen.add
@@ -508,10 +437,11 @@ class Distinct(Operator):
 
 
 class NestedLoopJoin(Operator):
-    """Tuple-at-a-time join with an arbitrary bound predicate.
+    """Join with an arbitrary bound predicate (None = cross join).
 
-    The inner input is materialised once.  ``left_outer=True`` emits
-    NULL-padded rows for unmatched outer tuples.
+    The inner input is materialised once; each outer row is tested
+    against every inner row.  ``left_outer=True`` emits NULL-padded rows
+    for unmatched outer tuples.
     """
 
     def __init__(
@@ -526,23 +456,49 @@ class NestedLoopJoin(Operator):
         self.predicate = predicate
         self.left_outer = left_outer
         self.layout = outer.layout + inner.layout
+        self._compiled: Optional[Tuple[Callable[[Row], Any], bool]] = None
 
     def children(self) -> Tuple[Operator, ...]:
         return (self.outer, self.inner)
 
-    def rows(self) -> Iterator[Row]:
-        inner_rows = list(self.inner.rows())
+    def _predicate_fn(self) -> Optional[Callable[[Row], Any]]:
+        if self.predicate is None:
+            return None
+        if self._compiled is None:
+            self._compiled = exprcompile.compile_expr(self.predicate)
+        return self._compiled[0]
+
+    def rows_batched(self, batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[List[Row]]:
+        inner_rows = [row for batch in self.inner.rows_batched(batch_size) for row in batch]
         pad = (None,) * len(self.inner.layout)
-        predicate = self.predicate
-        for outer_row in self.outer.rows():
-            matched = False
-            for inner_row in inner_rows:
-                combined = outer_row + inner_row
-                if predicate is None or predicate.eval(combined) is True:
-                    matched = True
-                    yield combined
-            if self.left_outer and not matched:
-                yield outer_row + pad
+        predicate = self._predicate_fn()
+        left_outer = self.left_outer
+        out: List[Row] = []
+        append = out.append
+        for batch in self.outer.rows_batched(batch_size):
+            for outer_row in batch:
+                matched = False
+                for inner_row in inner_rows:
+                    combined = outer_row + inner_row
+                    if predicate is None or predicate(combined) is True:
+                        matched = True
+                        append(combined)
+                if left_outer and not matched:
+                    append(outer_row + pad)
+                # Flush per outer row: one outer batch can fan out to
+                # batch_size * len(inner_rows) rows.
+                if len(out) >= batch_size:
+                    yield out
+                    out = []
+                    append = out.append
+        if out:
+            yield out
+
+    def compiled_status(self) -> Optional[str]:
+        if self.predicate is None:
+            return None
+        self._predicate_fn()
+        return "yes" if self._compiled[1] else "no"
 
     def label(self) -> str:
         kind = "LeftOuterNLJoin" if self.left_outer else "NestedLoopJoin"
@@ -579,27 +535,6 @@ class HashJoin(Operator):
 
     def children(self) -> Tuple[Operator, ...]:
         return (self.outer, self.inner)
-
-    def rows(self) -> Iterator[Row]:
-        build: Dict[Tuple[Any, ...], List[Row]] = {}
-        for inner_row in self.inner.rows():
-            key = tuple(inner_row[p] for p in self.inner_keys)
-            if any(component is None for component in key):
-                continue
-            build.setdefault(key, []).append(inner_row)
-        pad = (None,) * len(self.inner.layout)
-        residual = self.residual
-        for outer_row in self.outer.rows():
-            key = tuple(outer_row[p] for p in self.outer_keys)
-            matched = False
-            if not any(component is None for component in key):
-                for inner_row in build.get(key, ()):
-                    combined = outer_row + inner_row
-                    if residual is None or residual.eval(combined) is True:
-                        matched = True
-                        yield combined
-            if self.left_outer and not matched:
-                yield outer_row + pad
 
     def _residual_fn(self) -> Optional[Callable[[Row], Any]]:
         if self.residual is None:
@@ -702,43 +637,48 @@ class MergeJoin(Operator):
     def children(self) -> Tuple[Operator, ...]:
         return (self.outer, self.inner)
 
-    def rows(self) -> Iterator[Row]:
-        def key_of(row: Row, positions: Tuple[int, ...]) -> Optional[Tuple[Any, ...]]:
-            key = tuple(row[p] for p in positions)
-            return None if any(c is None for c in key) else key
+    @staticmethod
+    def _sorted_side(
+        side: Operator, positions: Tuple[int, ...], batch_size: int
+    ) -> List[Tuple[Tuple[Any, ...], Row]]:
+        """(sort key, row) pairs of *side* with non-NULL keys, key-ordered
+        (stable, so equal keys keep their input order)."""
+        keyed = []
+        for batch in side.rows_batched(batch_size):
+            for row in batch:
+                key = tuple(row[p] for p in positions)
+                if not any(c is None for c in key):
+                    keyed.append((tuple(sort_key(c) for c in key), row))
+        keyed.sort(key=lambda pair: pair[0])
+        return keyed
 
-        left = sorted(
-            (row for row in self.outer.rows() if key_of(row, self.outer_keys)),
-            key=lambda r: tuple(sort_key(r[p]) for p in self.outer_keys),
-        )
-        right = sorted(
-            (row for row in self.inner.rows() if key_of(row, self.inner_keys)),
-            key=lambda r: tuple(sort_key(r[p]) for p in self.inner_keys),
-        )
+    def rows_batched(self, batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[List[Row]]:
+        left = self._sorted_side(self.outer, self.outer_keys, batch_size)
+        right = self._sorted_side(self.inner, self.inner_keys, batch_size)
+        out: List[Row] = []
         i = j = 0
         while i < len(left) and j < len(right):
-            lkey = tuple(sort_key(left[i][p]) for p in self.outer_keys)
-            rkey = tuple(sort_key(right[j][p]) for p in self.inner_keys)
+            lkey, rkey = left[i][0], right[j][0]
             if lkey < rkey:
                 i += 1
             elif rkey < lkey:
                 j += 1
             else:
-                # Gather the run of equal keys on both sides.
-                i_end = i
-                while i_end < len(left) and tuple(
-                    sort_key(left[i_end][p]) for p in self.outer_keys
-                ) == lkey:
+                # Pair the runs of equal keys on both sides.
+                i_end, j_end = i + 1, j + 1
+                while i_end < len(left) and left[i_end][0] == lkey:
                     i_end += 1
-                j_end = j
-                while j_end < len(right) and tuple(
-                    sort_key(right[j_end][p]) for p in self.inner_keys
-                ) == rkey:
+                while j_end < len(right) and right[j_end][0] == rkey:
                     j_end += 1
-                for a in range(i, i_end):
-                    for b in range(j, j_end):
-                        yield left[a] + right[b]
+                run = [row for _key, row in right[j:j_end]]
+                for _key, outer_row in left[i:i_end]:
+                    out.extend(outer_row + inner_row for inner_row in run)
                 i, j = i_end, j_end
+                if len(out) >= batch_size:
+                    yield out
+                    out = []
+        if out:
+            yield out
 
     def label(self) -> str:
         pairs = ", ".join(
@@ -759,10 +699,6 @@ class UnionAll(Operator):
 
     def children(self) -> Tuple[Operator, ...]:
         return (self.left, self.right)
-
-    def rows(self) -> Iterator[Row]:
-        yield from self.left.rows()
-        yield from self.right.rows()
 
     def rows_batched(self, batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[List[Row]]:
         yield from self.left.rows_batched(batch_size)
@@ -937,27 +873,6 @@ class Aggregate(Operator):
             compiled is None or compiled[1] for compiled in self._compiled_args
         )
         return "yes" if ok else "no"
-
-    def rows(self) -> Iterator[Row]:
-        groups: Dict[Tuple[Any, ...], List[_AggState]] = {}
-        order: List[Tuple[Any, ...]] = []
-        for row in self.child.rows():
-            key = tuple(expr.eval(row) for expr, _n, _t in self.group_exprs)
-            states = groups.get(key)
-            if states is None:
-                states = [_AggState(spec.func, spec.distinct) for spec in self.aggregates]
-                groups[key] = states
-                order.append(key)
-            for spec, state in zip(self.aggregates, states):
-                if spec.arg is None:
-                    state.add(True)  # COUNT(*)
-                else:
-                    state.add(spec.arg.eval(row))
-        if not groups and not self.group_exprs:
-            groups[()] = [_AggState(spec.func) for spec in self.aggregates]
-            order.append(())
-        for key in order:
-            yield key + tuple(state.result() for state in groups[key])
 
     def label(self) -> str:
         groups = ", ".join(n for _e, n, _t in self.group_exprs)

@@ -1232,7 +1232,6 @@ class Database:
             "planner": dict(self.planner.metrics),
             "plan_cache": self.plan_cache.snapshot(),
             "executor": {
-                "vectorized": self.planner_config.vectorized,
                 "batches": EXEC_METRICS["batches"],
                 "batch_rows": EXEC_METRICS["batch_rows"],
                 "exprs_compiled": exprcompile.COMPILE_METRICS["compiled"],
@@ -1282,16 +1281,8 @@ class Database:
         self._row_budget = _RowBudget(limit) if limit else None
 
     def _collect_rows(self, plan: Operator) -> List[Row]:
-        """Materialise a plan's output through the configured executor mode."""
+        """Materialise a plan's output, charging the row budget."""
         budget = self._row_budget
-        if not self.planner_config.vectorized:
-            if budget is None:
-                return list(plan.rows())
-            rows = []
-            for row in plan.rows():
-                budget.charge(1)
-                rows.append(row)
-            return rows
         rows: List[Row] = []
         extend = rows.extend
         batches = 0
@@ -1305,18 +1296,8 @@ class Database:
         return rows
 
     def _iter_rows(self, plan: Operator) -> Iterator[Row]:
-        """Lazy row iterator through the configured executor mode."""
+        """Lazy row iterator over a plan's batches, charging the row budget."""
         budget = self._row_budget
-        if not self.planner_config.vectorized:
-            if budget is None:
-                return plan.rows()
-
-            def counted() -> Iterator[Row]:
-                for row in plan.rows():
-                    budget.charge(1)
-                    yield row
-
-            return counted()
 
         def flatten() -> Iterator[Row]:
             for batch in plan.rows_batched():

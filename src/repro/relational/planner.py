@@ -48,17 +48,19 @@ HASH_BUILD_COST = 0.02
 
 @dataclass
 class PlannerConfig:
-    """Feature switches, primarily for the ablation benchmarks."""
+    """Feature switches, primarily for the ablation benchmarks.
+
+    A switch changes how a query is planned or where its scans read from,
+    never its result.  None selects an execution mode: every plan runs on
+    the one batch executor (:mod:`repro.relational.algebra`).
+    """
 
     enable_pushdown: bool = True
     enable_index_selection: bool = True
     enable_join_reorder: bool = True
     #: 'auto' (hash for equi-joins, NL otherwise), or force 'nl'/'hash'/'merge'
     join_strategy: str = "auto"
-    #: batch-at-a-time execution with compiled expressions; False forces
-    #: the tuple-at-a-time path (the A/B baseline for bench_vectorized)
-    vectorized: bool = True
-    #: serve vectorized SeqScans from the columnar segment cache when the
+    #: serve SeqScans from the columnar segment cache when the
     #: table's heap version matches (the A/B baseline for bench_bufferpool)
     segment_cache: bool = True
     #: 'dp' (cost-based dynamic-programming enumeration, used when every
@@ -80,7 +82,6 @@ class PlannerConfig:
             self.enable_index_selection,
             self.enable_join_reorder,
             self.join_strategy,
-            self.vectorized,
             self.segment_cache,
             self.join_enumeration,
             self.max_dp_relations,
@@ -328,7 +329,7 @@ class Planner:
         keeps cached plans from crossing configurations.
         """
         scan = Alg.SeqScan(table, alias)
-        scan.use_segments = self.config.vectorized and self.config.segment_cache
+        scan.use_segments = self.config.segment_cache
         return scan
 
     def _scan_for(self, binding: _Binding, pool: List[E.Expr]) -> Alg.Operator:
@@ -469,7 +470,8 @@ class Planner:
         eq_conjuncts: Dict[str, E.Expr] = {}
         for conjunct in conjuncts:
             hit = E.const_comparison(conjunct)
-            if hit is not None and hit[1] == "=":
+            # col = NULL is never true; an index probe would find NULLs.
+            if hit is not None and hit[1] == "=" and hit[2] is not None:
                 column, _op, value = hit
                 eq_values.setdefault(column.name, value)
                 eq_conjuncts.setdefault(column.name, conjunct)

@@ -317,7 +317,7 @@ class TestSegmentCache:
         off = PlannerConfig(segment_cache=False).fingerprint()
         assert on != off
 
-    def test_planner_sets_flag_only_when_vectorized(self):
+    def test_planner_sets_flag_only_when_segment_cache_on(self):
         from repro.sql.parser import parse_statement
 
         db = Database()
@@ -326,7 +326,7 @@ class TestSegmentCache:
         plan = db.planner.plan_select(statement)
         scans = [op for op in _walk(plan) if type(op).__name__ == "SeqScan"]
         assert scans and all(s.use_segments for s in scans)
-        db.planner_config.vectorized = False
+        db.planner_config.segment_cache = False
         plan = db.planner.plan_select(statement)
         scans = [op for op in _walk(plan) if type(op).__name__ == "SeqScan"]
         assert scans and not any(s.use_segments for s in scans)

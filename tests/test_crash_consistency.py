@@ -209,14 +209,10 @@ class TestCrashExhaustion:
     def test_vectorized_execution_survives_crash_exhaustion(self, tmp_path):
         """The batched executor is the recovery-verification path too.
 
-        Database defaults to vectorized execution, so every recovery +
-        integrity check above already runs through batched scans; this
-        pins that explicitly with a small workload and exercises a
-        batched query against each recovered database.
+        Every recovery + integrity check above already runs through
+        batched scans; this exercises a batched query against each
+        recovered database with a small workload.
         """
-        from repro.relational.planner import PlannerConfig
-
-        assert PlannerConfig().vectorized, "vectorized must be the default"
         path = str(tmp_path / "db")
 
         def run(shim):
@@ -238,11 +234,10 @@ class TestCrashExhaustion:
         def verify(shim):
             db = Database(path=path, fsync=False)
             try:
-                assert db.planner_config.vectorized
                 report = db.integrity_check()  # scans via scan_batched()
                 assert report.ok, report.to_lines()
                 # A query through the batched executor agrees with the
-                # tuple-at-a-time heap scan of the same table.  (A crash
+                # storage layer's row-at-a-time heap scan of the table.  (A crash
                 # before the CREATE committed recovers to no table at all.)
                 if "t" in db.table_names():
                     rows = db.query("SELECT id, name, val FROM t ORDER BY id")

@@ -56,6 +56,17 @@ class TestAccessPaths:
         plan = plan_of(sized, "SELECT * FROM big WHERE grp = 3 AND val > 100")
         assert "IndexEqScan" in plan and "Filter" in plan
 
+    @pytest.mark.parametrize(
+        "where", ["grp = NULL", "grp = (SELECT MAX(grp) FROM big WHERE id < 0)"]
+    )
+    def test_equality_with_null_never_probes_the_index(self, sized, where):
+        # An index lookup with a NULL key finds the NULL rows, but
+        # grp = NULL is never true (3VL): it must stay a filter.
+        sized.insert("big", {"id": 1000, "grp": None, "val": 0.0})
+        sql = f"SELECT id FROM big WHERE {where}"
+        assert "IndexEqScan" not in plan_of(sized, sql)
+        assert sized.query(sql) == []
+
 
 class TestJoinPlanning:
     def test_equi_join_uses_hash(self, sized):

@@ -1,9 +1,12 @@
 """Property-based whole-engine tests.
 
-Two families:
+Three families:
 
-* **planner equivalence** — random queries must return identical result
-  sets no matter which planner features or join strategies are enabled;
+* **reference equivalence** — random queries over random NULL-heavy
+  tables must return what stdlib ``sqlite3`` returns for the same rows,
+  under every planner configuration;
+* **batches are transport** — a plan's flattened output is the same row
+  sequence at every batch size;
 * **model-based DML** — a random interleaving of inserts/updates/deletes
   (with savepoints) must leave the table equal to a plain-dict model.
 """
@@ -16,28 +19,31 @@ from hypothesis import strategies as st
 
 from repro.relational.database import Database
 from repro.relational.planner import PlannerConfig
+from tests.sqlite_oracle import assert_matches_sqlite, reference_db
+
+SCHEMA_DDL = (
+    "CREATE TABLE t (id INT PRIMARY KEY, grp INT, val INT, tag TEXT)",
+    "CREATE TABLE g (grp INT PRIMARY KEY, label TEXT)",
+)
+G_ROWS = [(grp, f"g{grp}") for grp in range(5)]
 
 
 def _make_db(rows):
     db = Database()
-    db.execute(
-        "CREATE TABLE t (id INT PRIMARY KEY, grp INT, val INT, tag TEXT)"
-    )
-    db.execute("CREATE TABLE g (grp INT PRIMARY KEY, label TEXT)")
-    for grp in range(5):
-        db.insert("g", {"grp": grp, "label": f"g{grp}"})
+    for ddl in SCHEMA_DDL:
+        db.execute(ddl)
+    for grp, label in G_ROWS:
+        db.insert("g", {"grp": grp, "label": label})
     for row_id, (grp, val, tag) in enumerate(rows):
-        db.insert(
-            "t",
-            {
-                "id": row_id,
-                "grp": grp if grp is not None else None,
-                "val": val,
-                "tag": tag,
-            },
-        )
+        db.insert("t", {"id": row_id, "grp": grp, "val": val, "tag": tag})
     db.execute("CREATE INDEX it ON t (val)")
     return db
+
+
+def _make_sqlite(rows):
+    """The same tables and rows as :func:`_make_db`, in sqlite."""
+    t_rows = [(row_id, grp, val, tag) for row_id, (grp, val, tag) in enumerate(rows)]
+    return reference_db(SCHEMA_DDL, {"g": G_ROWS, "t": t_rows})
 
 
 row_strategy = st.tuples(
@@ -46,6 +52,8 @@ row_strategy = st.tuples(
     st.sampled_from(["a", "b", "ab", "ba", ""]),  # tag
 )
 
+#: Every ORDER BY in the query lists below is a total order, so results
+#: are compared with sqlite row for row (see assert_matches_sqlite).
 query_strategy = st.sampled_from(
     [
         "SELECT id FROM t WHERE val > 0 ORDER BY id",
@@ -59,6 +67,14 @@ query_strategy = st.sampled_from(
         "SELECT id FROM t WHERE grp IN (SELECT grp FROM g WHERE label != 'g0') ORDER BY id",
         "SELECT g.label, COUNT(*) AS n FROM t JOIN g ON t.grp = g.grp "
         "GROUP BY g.label HAVING COUNT(*) > 1 ORDER BY g.label",
+        # NULL join keys on both sides must still never match.
+        "SELECT a.id, b.id FROM t a JOIN t b ON a.grp = b.grp ORDER BY a.id, b.id",
+        # Subqueries materialise through the batch executor at plan time;
+        # these shapes probe three-valued logic and empty results there.
+        "SELECT id FROM t WHERE val NOT IN (1, 2, NULL) ORDER BY id",
+        "SELECT id FROM t WHERE grp NOT IN (SELECT grp FROM t) ORDER BY id",
+        "SELECT id FROM t WHERE EXISTS (SELECT 1 FROM g WHERE label = 'g9') ORDER BY id",
+        "SELECT id FROM t WHERE val = (SELECT MAX(val) FROM t) ORDER BY id",
     ]
 )
 
@@ -68,7 +84,8 @@ class TestPlannerEquivalence:
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_feature_toggles_preserve_results(self, rows, sql):
         db = _make_db(rows)
-        reference = db.query(sql)
+        conn = _make_sqlite(rows)
+        assert_matches_sqlite(db, conn, sql)
         configurations = [
             PlannerConfig(enable_pushdown=False),
             PlannerConfig(enable_index_selection=False),
@@ -83,11 +100,8 @@ class TestPlannerEquivalence:
             ),
         ]
         for config in configurations:
-            db.planner.config = config
-            assert sorted(map(repr, db.query(sql))) == sorted(map(repr, reference)), (
-                f"config {config} changed results for {sql}"
-            )
-        db.planner.config = PlannerConfig()
+            db.set_planner_config(config)
+            assert_matches_sqlite(db, conn, sql, f"under {config}")
 
     @given(rows=st.lists(row_strategy, max_size=25))
     @settings(max_examples=40, deadline=None)
@@ -115,11 +129,11 @@ class TestPlannerEquivalence:
         assert positive + negative + nulls == len(rows)
 
 
-#: wowlint WOW006 ledger: every Operator subclass with a *native*
-#: ``rows_batched`` maps to a SQL statement whose plan contains it.  The
+#: wowlint WOW006 ledger: every Operator subclass (each implements
+#: ``rows_batched``) maps to a SQL statement whose plan contains it.  The
 #: linter cross-references these keys against algebra.py; the meta-tests
-#: below check the other direction (each SQL really exercises its operator
-#: and its batched path matches the tuple path).
+#: below check the other direction (each SQL really exercises its operator,
+#: returns what sqlite returns, and is batch-size independent).
 BATCHED_OPERATOR_REGISTRY = {
     "SeqScan": "SELECT id, grp, val, tag FROM t",
     "IndexEqScan": "SELECT id FROM t WHERE val = 3",
@@ -128,13 +142,18 @@ BATCHED_OPERATOR_REGISTRY = {
     "Rename": "SELECT vid FROM tv",
     "Filter": "SELECT id FROM t WHERE tag = 'a'",
     "Project": "SELECT id FROM t",
-    "Sort": "SELECT id FROM t ORDER BY tag",
+    "Sort": "SELECT id FROM t ORDER BY tag, id",
     "Limit": "SELECT id FROM t LIMIT 5",
     "Distinct": "SELECT DISTINCT tag FROM t",
+    "NestedLoopJoin": "SELECT t.id, g.label FROM t JOIN g ON t.grp < g.grp",
     "HashJoin": "SELECT t.id, g.label FROM t JOIN g ON t.grp = g.grp",
+    "MergeJoin": "SELECT t.id, g.label FROM t JOIN g ON t.grp = g.grp",
     "UnionAll": "SELECT id FROM t UNION ALL SELECT grp FROM g",
     "Aggregate": "SELECT grp, COUNT(*) AS n FROM t GROUP BY grp",
 }
+
+#: registry entries the default planner never picks, with the config that does
+REGISTRY_PLANNER_CONFIG = {"MergeJoin": PlannerConfig(join_strategy="merge")}
 
 
 class TestBatchedOperatorRegistry:
@@ -167,9 +186,14 @@ class TestBatchedOperatorRegistry:
     def test_each_registered_sql_exercises_its_operator(self):
         from repro.analysis.planverify import iter_operators, verify_plan
 
-        db = _make_db([(1, 3, "a"), (2, -1, "b"), (None, 5, "ab"), (0, None, "")])
-        db.execute("CREATE VIEW tv AS SELECT id AS vid FROM t WHERE val > 0")
+        rows = [(1, 3, "a"), (2, -1, "b"), (None, 5, "ab"), (0, None, "")]
+        view = "CREATE VIEW tv AS SELECT id AS vid FROM t WHERE val > 0"
+        db = _make_db(rows)
+        db.execute(view)
+        conn = _make_sqlite(rows)
+        conn.execute(view)
         for op_name, sql in BATCHED_OPERATOR_REGISTRY.items():
+            db.set_planner_config(REGISTRY_PLANNER_CONFIG.get(op_name, PlannerConfig()))
             plan = self._plan_for(db, sql)
             kinds = {type(op).__name__ for op in iter_operators(plan)}
             assert op_name in kinds, (
@@ -178,7 +202,8 @@ class TestBatchedOperatorRegistry:
             verify_plan(plan)
             reference = list(plan.rows())
             flattened = [row for batch in plan.rows_batched(batch_size=2) for row in batch]
-            assert flattened == reference, f"batched path diverged for {op_name}"
+            assert flattened == reference, f"batch size changed the rows of {op_name}"
+            assert_matches_sqlite(db, conn, sql, f"({op_name})")
 
 
 batched_query_strategy = st.sampled_from(
@@ -194,9 +219,13 @@ batched_query_strategy = st.sampled_from(
         # DISTINCT must dedupe across batch boundaries.
         "SELECT DISTINCT grp FROM t ORDER BY grp",
         "SELECT DISTINCT tag FROM t ORDER BY tag",
-        # Joins, grouping, and index scans get their native batched paths.
+        # Joins, grouping, and index scans; the non-equi joins run as
+        # nested loops whose output fans out across batch boundaries.
         "SELECT t.id, g.label FROM t JOIN g ON t.grp = g.grp ORDER BY t.id",
         "SELECT t.id FROM t LEFT JOIN g ON t.grp = g.grp ORDER BY t.id",
+        "SELECT t.id, g.grp FROM t JOIN g ON t.grp < g.grp ORDER BY t.id, g.grp",
+        "SELECT t.id, g.label FROM t LEFT JOIN g ON t.grp < g.grp "
+        "ORDER BY t.id, g.label",
         "SELECT grp, COUNT(*) AS n, SUM(val) AS s FROM t GROUP BY grp ORDER BY grp",
         "SELECT id FROM t WHERE val = 3 ORDER BY id",
         "SELECT id FROM t WHERE val >= -5 AND val <= 5 ORDER BY id",
@@ -205,7 +234,7 @@ batched_query_strategy = st.sampled_from(
 
 
 class TestBatchedEquivalence:
-    """rows_batched() is transport, not semantics: identical rows, same order."""
+    """Batches are transport, not semantics, and the results are sqlite's."""
 
     @given(
         rows=st.lists(row_strategy, max_size=30),
@@ -214,6 +243,7 @@ class TestBatchedEquivalence:
     )
     @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_rows_batched_matches_rows(self, rows, sql, batch_size):
+        """Flattened output at any batch size equals the default, in order."""
         from repro.sql.parser import parse_statement
 
         db = _make_db(rows)
@@ -227,13 +257,8 @@ class TestBatchedEquivalence:
 
     @given(rows=st.lists(row_strategy, max_size=30), sql=batched_query_strategy)
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_vectorized_flag_preserves_results(self, rows, sql):
-        """End-to-end: the A/B config flag must not change any result."""
-        db = _make_db(rows)
-        db.set_planner_config(PlannerConfig(vectorized=False))
-        reference = db.query(sql)
-        db.set_planner_config(PlannerConfig(vectorized=True))
-        assert db.query(sql) == reference, f"vectorized flag changed results for {sql}"
+    def test_results_match_sqlite(self, rows, sql):
+        assert_matches_sqlite(_make_db(rows), _make_sqlite(rows), sql)
 
     def test_empty_table_yields_no_batches(self):
         from repro.sql.parser import parse_statement

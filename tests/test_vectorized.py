@@ -4,8 +4,9 @@ compiler (compiled closures must match the interpreter exactly, including
 observability surfaces (EXPLAIN ANALYZE batch/compile annotations and the
 metrics snapshot's executor section).
 
-Cross-cutting equivalence of rows() vs rows_batched() over random data
-lives in test_property_engine.py; this module covers the units.
+Cross-cutting equivalence over random data (against sqlite, and across
+batch sizes) lives in test_property_engine.py; this module covers the
+units.
 """
 
 import datetime
@@ -30,10 +31,10 @@ from repro.relational.expr import (
     bind,
 )
 from repro.relational.exprcompile import compile_expr, compile_row_fn
-from repro.relational.planner import PlannerConfig
 from repro.relational.rowcodec import decode_row, encode_row, span_decoder
 from repro.relational.schema import Column, TableSchema
 from repro.relational.types import ColumnType
+from tests.sqlite_oracle import assert_matches_sqlite, reference_db
 
 LAYOUT = RowLayout(
     [
@@ -255,35 +256,23 @@ class TestExecutorObservability:
         assert "compiled=yes" in text
         assert "compiled=no" not in text
 
-    def test_explain_analyze_tuple_mode_has_no_batches(self):
-        db = self._db()
-        db.set_planner_config(PlannerConfig(vectorized=False))
-        text = db.execute("EXPLAIN ANALYZE SELECT * FROM t WHERE id >= 2").plan
-        assert "batches=" not in text
-        assert "rows=8" in text
-
     def test_metrics_snapshot_executor_section(self):
         db = self._db()
         db.query("SELECT name FROM t WHERE grp = 1")
         snap = db.metrics_snapshot()["executor"]
-        assert snap["vectorized"] is True
         assert snap["batches"] >= 1
         assert snap["batch_rows"] >= 3
         assert snap["exprs_compiled"] >= 1
 
-    def test_vectorized_flag_in_plan_cache_fingerprint(self):
-        # Cached plans must never cross executor modes.
-        assert (
-            PlannerConfig(vectorized=True).fingerprint()
-            != PlannerConfig(vectorized=False).fingerprint()
-        )
-
     def test_ab_modes_agree_end_to_end(self):
+        """A: this engine, B: stdlib sqlite3 over the same rows."""
         db = self._db()
+        conn = reference_db(
+            ["CREATE TABLE t (id INT PRIMARY KEY, grp INT, name TEXT)"],
+            {"t": [(i, i % 3, f"n{i}") for i in range(10)]},
+        )
         sql = (
             "SELECT grp, COUNT(*) AS n FROM t WHERE name LIKE 'n%' "
             "GROUP BY grp HAVING COUNT(*) > 1 ORDER BY grp"
         )
-        vectorized = db.query(sql)
-        db.set_planner_config(PlannerConfig(vectorized=False))
-        assert db.query(sql) == vectorized
+        assert_matches_sqlite(db, conn, sql)
